@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
       ProtocolParams p = base;
       p.use_query_cache = use;
       SimulationOptions options = scale.options();
-      GuessSimulation sim(SimulationConfig().system(system).protocol(p).options(options));
-      auto r = sim.run();
+      auto r = *search::run_search(SimulationConfig().system(system).protocol(p).options(options))
+          .extra_as<SimulationResults>();
       table.add_row({std::string(use ? "on" : "off"), r.probes_per_query(),
                      r.unsatisfied_rate(),
                      r.query_cache_population.mean()});
@@ -90,8 +90,8 @@ int main(int argc, char** argv) {
       SystemParams s = system;
       s.num_desired_results = desired;
       SimulationOptions options = scale.options();
-      GuessSimulation sim(SimulationConfig().system(s).protocol(base).options(options));
-      auto r = sim.run();
+      auto r = *search::run_search(SimulationConfig().system(s).protocol(base).options(options))
+          .extra_as<SimulationResults>();
       table.add_row({static_cast<std::int64_t>(desired),
                      r.probes_per_query(), r.unsatisfied_rate(),
                      r.response_time.mean()});
@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
         options.enable_queries = false;  // isolate maintenance traffic
         options.warmup = 600.0;
         options.measure = scale.full ? 7200.0 : 3000.0;
-        GuessSimulation sim(SimulationConfig().system(s).protocol(p).options(options));
-        auto r = sim.run();
+        auto r = *search::run_search(SimulationConfig().system(s).protocol(p).options(options))
+            .extra_as<SimulationResults>();
         table.add_row({multiplier, std::string(adaptive ? "adaptive" : "30s"),
                        static_cast<std::int64_t>(r.pings_sent),
                        static_cast<std::int64_t>(r.pings_to_dead),

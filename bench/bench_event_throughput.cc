@@ -28,7 +28,7 @@
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/table.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 #include "sim/event_queue.h"
 
 namespace guess {
@@ -190,15 +190,15 @@ EndToEnd run_simulation(sim::Scheduler scheduler, std::size_t network,
   options.warmup = measure / 4.0;
   options.measure = measure;
   options.scheduler = scheduler;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
   auto start = std::chrono::steady_clock::now();
-  EndToEnd out;
-  out.results = sim.run();
+  search::SearchResults run = search::run_search(
+      SimulationConfig().system(system).protocol(protocol).options(options));
   auto stop = std::chrono::steady_clock::now();
+  EndToEnd out;
   out.throughput.seconds =
       std::chrono::duration<double>(stop - start).count();
-  out.throughput.events =
-      static_cast<long long>(sim.simulator().events_fired());
+  out.throughput.events = static_cast<long long>(run.events_fired);
+  out.results = *run.extra_as<SimulationResults>();
   return out;
 }
 

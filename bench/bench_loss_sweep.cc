@@ -12,7 +12,6 @@
 
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -46,12 +45,13 @@ int main(int argc, char** argv) {
                       .system(system)
                       .protocol(protocol)
                       .transport(point);
-    auto runs = run_seeds(config, scale.seeds);
-    auto avg = average(runs);
+    auto runs = search::run_search_seeds(config, scale.seeds);
+    auto avg = experiments::average(runs);
     double timeouts = 0.0;
     double retransmits = 0.0;
     double failed = 0.0;
-    for (const auto& r : runs) {
+    for (const search::SearchResults& run : runs) {
+      const SimulationResults& r = *run.extra_as<SimulationResults>();
       auto queries =
           static_cast<double>(std::max<std::uint64_t>(r.queries_completed, 1));
       auto n = static_cast<double>(runs.size());

@@ -31,7 +31,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "guess/link_cache.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 namespace guess {
 namespace {
@@ -92,14 +92,15 @@ SimulationConfig config_for(std::size_t network, sim::Duration measure,
 
 EndToEnd run_end_to_end(std::size_t network, sim::Duration measure,
                         std::uint64_t seed, sim::Scheduler scheduler) {
-  GuessSimulation sim(config_for(network, measure, seed, scheduler));
   EndToEnd out;
   out.network = network;
   auto start = std::chrono::steady_clock::now();
-  out.results = sim.run();
+  search::SearchResults run =
+      search::run_search(config_for(network, measure, seed, scheduler));
   auto stop = std::chrono::steady_clock::now();
   out.wall_seconds = std::chrono::duration<double>(stop - start).count();
-  out.events = sim.simulator().events_fired();
+  out.events = run.events_fired;
+  out.results = *run.extra_as<SimulationResults>();
   return out;
 }
 

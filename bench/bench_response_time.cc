@@ -8,7 +8,6 @@
 
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -53,8 +52,8 @@ int main(int argc, char** argv) {
     p.adaptive_parallel = adaptive;
     p.adaptive_parallel_trigger = 5;
     SimulationOptions options = scale.options();
-    GuessSimulation sim(SimulationConfig().system(system).protocol(p).options(options));
-    auto results = sim.run();
+    auto results = *search::run_search(SimulationConfig().system(system).protocol(p).options(options))
+        .extra_as<SimulationResults>();
     adaptive_table.add_row(
         {std::string(adaptive ? "adaptive k (x2 per 5 dry slots)"
                               : "fixed k=1"),

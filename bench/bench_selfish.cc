@@ -11,7 +11,6 @@
 
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -46,8 +45,8 @@ int main(int argc, char** argv) {
       protocol.query_pong = Policy::kMFS;
       protocol.payments.enabled = payments;
       SimulationOptions options = scale.options();
-      GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
-      auto results = sim.run();
+      auto results = *search::run_search(SimulationConfig().system(system).protocol(protocol).options(options))
+          .extra_as<SimulationResults>();
       table.add_row(
           {selfish_pct, std::string(payments ? "on" : "off"),
            results.selfish.response_time.mean(),

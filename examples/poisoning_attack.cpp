@@ -10,7 +10,6 @@
 #include "common/flags.h"
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
 
 int main(int argc, char** argv) {
   guess::Flags flags(argc, argv);
@@ -39,8 +38,8 @@ int main(int argc, char** argv) {
   for (const char* name : {"Ran", "MR", "MR*", "MFS"}) {
     auto combo = guess::experiments::PolicyCombo::from_name(name);
     guess::ProtocolParams protocol = combo.apply(guess::ProtocolParams{});
-    guess::GuessSimulation simulation(guess::SimulationConfig().system(system).protocol(protocol).options(options));
-    guess::SimulationResults results = simulation.run();
+    auto results = *guess::search::run_search(guess::SimulationConfig().system(system).protocol(protocol).options(options))
+        .extra_as<guess::SimulationResults>();
     table.add_row({std::string(name), results.probes_per_query(),
                    100.0 * results.unsatisfied_rate(),
                    results.cache_health.good_entries,

@@ -9,7 +9,6 @@
 #include "common/flags.h"
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "guess/simulation.h"
 
 int main(int argc, char** argv) {
   guess::Flags flags(argc, argv);
@@ -33,8 +32,8 @@ int main(int argc, char** argv) {
 
   for (const char* name : combos) {
     auto combo = guess::experiments::PolicyCombo::from_name(name);
-    guess::GuessSimulation simulation(guess::SimulationConfig().system(system).protocol(combo.apply(base)).options(options));
-    guess::SimulationResults results = simulation.run();
+    auto results = *guess::search::run_search(guess::SimulationConfig().system(system).protocol(combo.apply(base)).options(options))
+        .extra_as<guess::SimulationResults>();
     auto load = guess::analysis::summarize_load(results.peer_loads);
     table.add_row({std::string(name), results.probes_per_query(),
                    results.good_probes_per_query(),

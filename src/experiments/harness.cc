@@ -166,19 +166,51 @@ std::function<void(int, int)> progress_reporter(bool enabled) {
 
 }  // namespace
 
+AveragedResults average(const std::vector<search::SearchResults>& runs) {
+  AveragedResults out;
+  if (runs.empty()) return out;
+  auto n = static_cast<double>(runs.size());
+  RunningStat probes_stat;
+  RunningStat unsat_stat;
+  for (const search::SearchResults& run : runs) {
+    const SimulationResults* r = run.extra_as<SimulationResults>();
+    GUESS_CHECK_MSG(r != nullptr, "average() needs GUESS runs, got backend "
+                                      << run.backend);
+    probes_stat.add(r->probes_per_query());
+    unsat_stat.add(r->unsatisfied_rate());
+    out.probes_per_query += r->probes_per_query() / n;
+    out.good_per_query += r->good_probes_per_query() / n;
+    out.dead_per_query += r->dead_probes_per_query() / n;
+    out.refused_per_query += r->refused_probes_per_query() / n;
+    out.unsatisfied_rate += r->unsatisfied_rate() / n;
+    out.fraction_live += r->cache_health.fraction_live / n;
+    out.absolute_live += r->cache_health.absolute_live / n;
+    out.good_entries += r->cache_health.good_entries / n;
+    out.largest_component += r->largest_component.mean() / n;
+    out.final_largest_component +=
+        static_cast<double>(r->final_largest_component) / n;
+    out.final_largest_strong_component +=
+        static_cast<double>(r->final_largest_strong_component) / n;
+    out.response_time += r->response_time.mean() / n;
+    out.queries_completed += static_cast<double>(r->queries_completed) / n;
+  }
+  if (runs.size() > 1) {
+    out.probes_per_query_se = probes_stat.stddev() / std::sqrt(n);
+    out.unsatisfied_rate_se = unsat_stat.stddev() / std::sqrt(n);
+  }
+  return out;
+}
+
 AveragedResults run_config(const SystemParams& system,
                            const ProtocolParams& protocol,
                            const Scale& scale,
                            SimulationOptions options_override) {
-  if (options_override.threads == 0) options_override.threads = scale.threads;
-  auto config = SimulationConfig()
-                    .system(system)
-                    .protocol(protocol)
-                    .options(options_override)
-                    .transport(scale.transport)
-                    .scenario(scale.scenario);
-  return average(
-      run_seeds(config, scale.seeds, progress_reporter(scale.progress)));
+  Scale job_scale = scale;
+  if (options_override.threads != 0) {
+    job_scale.threads = options_override.threads;
+  }
+  return run_configs({{system, protocol, options_override}}, job_scale)
+      .front();
 }
 
 AveragedResults run_config(const SystemParams& system,
@@ -196,34 +228,34 @@ std::vector<AveragedResults> run_configs(const std::vector<ConfigJob>& jobs,
   // Flattened jobs.size() × seeds replications; slot i is replication
   // (i % seeds) of config (i / seeds), so results land in config-then-seed
   // order no matter which worker finishes first.
-  std::vector<SimulationResults> flat(static_cast<std::size_t>(total));
   auto run_one = [&](int i) {
     const ConfigJob& job = jobs[static_cast<std::size_t>(i / seeds)];
     SimulationOptions opt = job.options;
     opt.seed = job.options.seed + static_cast<std::uint64_t>(i % seeds);
-    GuessSimulation sim(SimulationConfig()
-                            .system(job.system)
-                            .protocol(job.protocol)
-                            .options(opt)
-                            .transport(scale.transport)
-                            .scenario(scale.scenario));
-    flat[static_cast<std::size_t>(i)] = sim.run();
+    return search::run_search(SimulationConfig()
+                                  .system(job.system)
+                                  .protocol(job.protocol)
+                                  .options(opt)
+                                  .transport(scale.transport)
+                                  .scenario(scale.scenario));
   };
 
   auto progress = progress_reporter(scale.progress);
+  std::vector<search::SearchResults> flat;
   int threads = resolve_thread_count(scale.threads);
-  if (threads == 1) {
+  if (threads == 1 || total == 1) {
     for (int i = 0; i < total; ++i) {
-      run_one(i);
+      flat.push_back(run_one(i));
       if (progress) progress(i + 1, total);
     }
   } else {
-    // Warm the shared immutable quantile tables before workers start (see
-    // run_seeds).
+    // Warm the shared immutable quantile tables on this thread so workers
+    // read fully-constructed statics instead of serializing on their init
+    // guards.
     content::ContentModel::sharing_distribution();
     churn::LifetimeDistribution::base_distribution();
     ParallelRunner runner(threads);
-    runner.run(total, run_one, progress);
+    flat = runner.map<search::SearchResults>(total, run_one, progress);
   }
 
   std::vector<AveragedResults> out;

@@ -21,7 +21,7 @@
 #include "common/flags.h"
 #include "faults/scenario.h"
 #include "guess/params.h"
-#include "guess/simulation.h"
+#include "search/backend.h"
 
 namespace guess::experiments {
 
@@ -83,8 +83,35 @@ struct PolicyCombo {
 /// The four robustness combos of Figures 16–21.
 const std::vector<PolicyCombo>& robustness_combos();
 
-/// Average results for one (system, protocol) configuration across seeds.
-/// Replications run on a worker pool of scale.threads threads (0 = auto).
+/// Aggregate of repeated GUESS runs: averages of the headline per-query
+/// metrics, plus standard errors across seeds for the two headline numbers
+/// (0 when only one seed was run).
+struct AveragedResults {
+  double probes_per_query = 0.0;
+  double good_per_query = 0.0;
+  double dead_per_query = 0.0;
+  double refused_per_query = 0.0;
+  double unsatisfied_rate = 0.0;
+  double fraction_live = 0.0;
+  double absolute_live = 0.0;
+  double good_entries = 0.0;
+  double largest_component = 0.0;
+  double response_time = 0.0;
+  double queries_completed = 0.0;
+  double probes_per_query_se = 0.0;
+  double unsatisfied_rate_se = 0.0;
+  /// End-of-run connectivity snapshots (0 unless sample_connectivity).
+  double final_largest_component = 0.0;
+  double final_largest_strong_component = 0.0;
+};
+
+/// Average GUESS runs, reading each run's extra_as<SimulationResults>()
+/// (CheckError for a run of another backend).
+AveragedResults average(const std::vector<search::SearchResults>& runs);
+
+/// Average results for one (system, protocol) configuration across seeds:
+/// run_configs() with the single job {system, protocol, options_override}.
+/// A nonzero options_override.threads overrides scale.threads.
 AveragedResults run_config(const SystemParams& system,
                            const ProtocolParams& protocol,
                            const Scale& scale,
@@ -102,12 +129,13 @@ struct ConfigJob {
   SimulationOptions options;
 };
 
-/// Run every configuration's seed sweep on ONE shared worker pool and return
-/// the per-configuration averages, in job order. Equivalent to calling
-/// run_config(job.system, job.protocol, scale, job.options) for each job —
-/// same seed derivation, bitwise-identical averages — but all jobs.size() ×
-/// scale.seeds replications are interleaved across the pool, so a multi-
-/// config sweep saturates the machine even at seeds=1.
+/// Run every configuration's seed sweep on ONE shared worker pool of
+/// scale.threads threads (0 = auto) and return the per-configuration
+/// averages, in job order. Replication s of job j is search::run_search with
+/// seed job.options.seed + s, plus scale's transport and scenario. All
+/// jobs.size() × scale.seeds replications are interleaved across the pool,
+/// so a multi-config sweep saturates the machine even at seeds=1; thread
+/// count never changes a result.
 std::vector<AveragedResults> run_configs(const std::vector<ConfigJob>& jobs,
                                          const Scale& scale);
 

@@ -2,8 +2,8 @@
 // guesslib.
 //
 // Historically a simulation was assembled from four loose parameter structs
-// plus a bool threaded positionally through GuessNetwork / GuessSimulation /
-// the bench harness (`SystemParams, ProtocolParams, MaliciousParams,
+// plus a bool threaded positionally through GuessNetwork, the simulation
+// driver and the bench harness (`SystemParams, ProtocolParams, MaliciousParams,
 // enable_queries, ...`). SimulationConfig replaces that boundary with one
 // builder-style object:
 //
@@ -13,8 +13,8 @@
 //                     .transport(guess::TransportParams::lossy(0.05))
 //                     .seed(7)
 //                     .measure(1800.0);
-//   guess::GuessSimulation sim(config);        // validates on construction
-//   guess::SimulationResults results = sim.run();
+//   guess::search::SearchResults results =
+//       guess::search::run_search(config);  // validates first
 //
 // The old positional signatures were removed after every in-tree harness,
 // bench and example migrated; SimulationConfig is the only construction
@@ -106,8 +106,7 @@ struct BackendParams {
 
 /// Run-control block: seed, windows, sampling cadence, threading and the
 /// event-queue backend. Lives inside SimulationConfig; kept as a standalone
-/// struct because the pre-config GuessSimulation signature takes it
-/// directly.
+/// struct so sweeps can copy and vary it (experiments::ConfigJob).
 struct SimulationOptions {
   std::uint64_t seed = 42;
 
@@ -129,7 +128,8 @@ struct SimulationOptions {
   bool sample_connectivity = false;
   sim::Duration connectivity_sample_interval = 120.0;
 
-  /// Worker threads for run_seeds (replications run concurrently, one per
+  /// Worker threads for seed sweeps (search::run_search_seeds,
+  /// experiments::run_configs; replications run concurrently, one per
   /// thread). 0 = auto: the GUESS_THREADS environment variable when set,
   /// else all hardware threads. 1 = serial in the calling thread. Thread
   /// count never changes results — replications are independent and are
@@ -172,8 +172,8 @@ struct SimulationOptions {
 };
 
 /// Everything a GUESS simulation is built from, behind chainable setters.
-/// Cheap to copy; validate() (called by GuessSimulation / GuessNetwork on
-/// construction) rejects nonsense configurations with a CheckError instead
+/// Cheap to copy; validate() (called by search::run_search and by
+/// GuessNetwork on construction) rejects nonsense configurations with a CheckError instead
 /// of letting them run.
 class SimulationConfig {
  public:

@@ -82,10 +82,14 @@ RecoveryMetrics compute_recovery(const IntervalSeries& series,
   return out;
 }
 
+double unsatisfied_fraction(std::uint64_t satisfied,
+                            std::uint64_t completed) {
+  if (completed == 0) return 0.0;
+  return 1.0 - static_cast<double>(satisfied) / static_cast<double>(completed);
+}
+
 double ClassMetrics::unsatisfied_rate() const {
-  if (queries_completed == 0) return 0.0;
-  return 1.0 - static_cast<double>(queries_satisfied) /
-                   static_cast<double>(queries_completed);
+  return unsatisfied_fraction(queries_satisfied, queries_completed);
 }
 
 double ClassMetrics::probes_per_query() const {
@@ -93,9 +97,7 @@ double ClassMetrics::probes_per_query() const {
 }
 
 double SimulationResults::unsatisfied_rate() const {
-  if (queries_completed == 0) return 0.0;
-  return 1.0 - static_cast<double>(queries_satisfied) /
-                   static_cast<double>(queries_completed);
+  return unsatisfied_fraction(queries_satisfied, queries_completed);
 }
 
 double SimulationResults::probes_per_query() const {

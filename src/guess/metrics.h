@@ -117,6 +117,11 @@ RecoveryMetrics compute_recovery(const IntervalSeries& series,
                                  sim::Time fault_start, sim::Time fault_end,
                                  double epsilon = 0.05);
 
+/// Unsatisfied fraction of `completed` queries: the one definition behind
+/// every results type's unsatisfied_rate(). A run that completed no query
+/// reports 0.0 (nothing went unanswered), never 1.0.
+double unsatisfied_fraction(std::uint64_t satisfied, std::uint64_t completed);
+
 /// Per-peer-class query metrics: the selfish-peer study (§3.3) compares
 /// honest and selfish peers' experience side by side.
 struct ClassMetrics {

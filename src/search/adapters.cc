@@ -4,7 +4,8 @@
 // consumption, event scheduling and collection replicate the legacy
 // free-standing driver exactly, so the legacy results struct in the
 // extension slot is identical to what the silo's own entry point produces
-// (tests/search/backend_equivalence_test.cc asserts this field by field).
+// (tests/search/backend_equivalence_test.cc asserts this field by field;
+// GUESS runs are pinned by tests/testdata/guess_legacy.golden).
 // The unified SearchResults mapping on top is pure arithmetic over those
 // structs — it can never perturb a run.
 #include "search/adapters.h"
@@ -47,8 +48,7 @@ class GuessBackend final : public SearchBackend {
   void sample_interval() override { network_->sample_interval(); }
 
   void begin_measurement() override {
-    // The exact sampler schedule GuessSimulation::run() established:
-    // measurement first, then an immediate cache-health sample, then the
+    // Measurement first, then an immediate cache-health sample, then the
     // periodic samplers phased to land inside the window.
     network_->begin_measurement();
     const SimulationOptions& options = config_.options();

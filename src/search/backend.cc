@@ -135,11 +135,11 @@ SearchResults run_search(const SimulationConfig& config) {
       make_backend(config, simulator, Rng(config.seed()));
 
   backend->bootstrap();
-  // Same scheduling order as GuessSimulation::run(): fault actions first,
-  // then the open-loop driver, then the interval sampler — at an exact time
-  // tie the fault applies before that instant's interval sample closes. All
-  // ride the event queue's (time, seq) order, keeping runs bitwise
-  // deterministic across scheduler backends. Closed-loop runs construct no
+  // Scheduling order: fault actions first, then the open-loop driver, then
+  // the interval sampler — at an exact time tie the fault applies before
+  // that instant's interval sample closes. All ride the event queue's
+  // (time, seq) order, keeping runs bitwise deterministic across scheduler
+  // backends. Closed-loop runs construct no
   // driver and schedule no extra events, so they stay bitwise identical to
   // the pre-open-loop code path.
   std::unique_ptr<faults::FaultEngine> fault_engine;
@@ -171,6 +171,7 @@ SearchResults run_search(const SimulationConfig& config) {
   SearchResults results = backend->collect();
   if (driver) driver->finalize(results);
   results.measure_duration = options.measure;
+  results.events_fired = simulator.events_fired();
   return results;
 }
 

@@ -16,8 +16,10 @@
 //
 // Ported protocols run as thin adapters over their legacy engines and are
 // bitwise-identical to the legacy free-standing drivers (asserted by
-// tests/search/backend_equivalence_test.cc); the legacy per-backend results
-// struct rides along in the typed extension slot (`extra_as<T>()`).
+// tests/search/backend_equivalence_test.cc; GUESS runs are pinned by
+// tests/testdata/guess_legacy.golden). Each engine's own results struct
+// rides along in the typed extension slot (`extra_as<T>()`): GUESS-specific
+// fields are read as `extra_as<SimulationResults>()`.
 #pragma once
 
 #include <any>
@@ -72,6 +74,8 @@ struct SearchResults {
   std::string backend;
   std::size_t network_size = 0;
   double measure_duration = 0.0;  ///< seconds of measurement window
+  /// Simulator events fired over the whole run (bootstrap included).
+  std::uint64_t events_fired = 0;
 
   std::uint64_t queries_completed = 0;
   std::uint64_t queries_satisfied = 0;
@@ -108,7 +112,10 @@ struct SearchResults {
 
   // --- derived (fractions, not percents) ---
   double success_rate() const;
-  double unsatisfied_rate() const { return 1.0 - success_rate(); }
+  /// 0 when no query completed (guess::unsatisfied_fraction).
+  double unsatisfied_rate() const {
+    return unsatisfied_fraction(queries_satisfied, queries_completed);
+  }
   double probes_per_query() const;
   double query_messages_per_query() const;
   std::uint64_t bytes_on_wire() const { return query_bytes + maintenance_bytes; }
@@ -119,10 +126,9 @@ struct SearchResults {
 };
 
 /// Abstract search protocol. Constructed from (SimulationConfig, Simulator,
-/// Rng) by the factory; driven by run_search() in the exact order
-/// GuessSimulation::run() established (bootstrap → faults → intervals →
-/// warmup → begin_measurement → measure → collect), so the GUESS adapter is
-/// bitwise-identical to the legacy driver.
+/// Rng) by the factory; driven by run_search() in a fixed order (bootstrap →
+/// faults → intervals → warmup → begin_measurement → measure → collect), so
+/// every run is bitwise reproducible.
 ///
 /// SearchBackend is a faults::FaultHost: the PR 4 fault-scenario engine
 /// drives any backend. The base class rejects every action with a
@@ -172,7 +178,7 @@ class SearchBackend : public faults::FaultHost {
   }
 
   /// Finalize and return results (run control fields like measure_duration
-  /// are stamped by the driver).
+  /// and events_fired are stamped by the driver).
   virtual SearchResults collect() = 0;
 
   virtual std::size_t live_peers() const = 0;
@@ -219,13 +225,16 @@ std::vector<SearchBackendId> registered_backends();
 
 /// Run one full simulation of config.backend(): validate, build the
 /// simulator and backend, bootstrap, attach the fault engine and interval
-/// sampler, warm up, measure, collect. For kGuess this is bitwise-identical
-/// to GuessSimulation::run() (asserted by tests).
+/// sampler, warm up, measure, collect. The one driver for every backend;
+/// GUESS runs are pinned by tests/testdata/guess_legacy.golden.
 SearchResults run_search(const SimulationConfig& config);
 
 /// Seed sweep over run_search (config.seed(), +1, ...), on a worker pool of
-/// options().threads threads — the run_seeds() contract: results come back
-/// in seed order and are bitwise-identical for any thread count.
+/// options().threads threads (0 = auto; see SimulationOptions::threads).
+/// Results come back in seed order and are bitwise-identical for any thread
+/// count. `progress`, when set, is called after each completed replication
+/// with (completed, num_seeds); it runs on worker threads, serialized, in
+/// completion order.
 std::vector<SearchResults> run_search_seeds(
     const SimulationConfig& config, int num_seeds,
     const std::function<void(int, int)>& progress = {});

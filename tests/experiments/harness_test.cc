@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "common/check.h"
+#include "../testsupport/results_golden.h"
 
 namespace guess::experiments {
 namespace {
@@ -197,6 +198,55 @@ TEST(Harness, PrintHeaderMentionsEverything) {
   EXPECT_NE(text.find("test claim"), std::string::npos);
   EXPECT_NE(text.find("NetworkSize=1000"), std::string::npos);
   EXPECT_NE(text.find("reduced"), std::string::npos);
+}
+
+// run_configs (and run_config, one call into it) match the recorded sweep
+// in tests/testdata/guess_legacy.golden with literal ==, at any thread
+// count and under either scheduler.
+TEST(Harness, RunConfigsMatchLegacyGoldens) {
+  const testsupport::GoldenFile goldens =
+      testsupport::load_goldens("guess_legacy.golden");
+  SystemParams system;
+  system.network_size = 150;
+  system.content.catalog_size = 400;
+  system.content.query_universe = 500;
+  ProtocolParams mfs;
+  mfs.query_pong = Policy::kMFS;
+  for (sim::Scheduler scheduler :
+       {sim::Scheduler::kHeap, sim::Scheduler::kCalendar}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(sim::scheduler_name(scheduler)) +
+                   " threads=" + std::to_string(threads));
+      Scale scale;
+      scale.seeds = 2;
+      scale.threads = threads;
+      SimulationOptions options;
+      options.seed = 17;
+      options.warmup = 200.0;
+      options.measure = 400.0;
+      options.scheduler = scheduler;
+      SimulationOptions connectivity = options;
+      connectivity.sample_connectivity = true;
+      auto averages = run_configs(
+          {{system, ProtocolParams{}, options}, {system, mfs, connectivity}},
+          scale);
+      ASSERT_EQ(averages.size(), 2u);
+      testsupport::expect_matches_golden(
+          goldens, "configs/0", testsupport::golden_record(averages[0]));
+      testsupport::expect_matches_golden(
+          goldens, "configs/1", testsupport::golden_record(averages[1]));
+      testsupport::expect_matches_golden(
+          goldens, "configs/1",
+          testsupport::golden_record(
+              run_config(system, mfs, scale, connectivity)));
+    }
+  }
+}
+
+TEST(Harness, AverageRejectsNonGuessRuns) {
+  search::SearchResults flood;
+  flood.backend = "flood";
+  EXPECT_THROW(average({flood}), CheckError);
 }
 
 }  // namespace

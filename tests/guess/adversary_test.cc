@@ -13,7 +13,7 @@
 #include "common/rng.h"
 #include "faults/scenario.h"
 #include "guess/network.h"
-#include "guess/simulation.h"
+#include "../testsupport/guess_run.h"
 
 namespace guess {
 namespace {
@@ -328,8 +328,7 @@ SimulationResults run_attack(const char* spec, DetectionParams detection,
                     .seed(seed)
                     .warmup(100.0)
                     .measure(400.0);
-  GuessSimulation sim(config);
-  return sim.run();
+  return testsupport::run_guess(config);
 }
 
 TEST(AttackEndToEnd, EclipseCohortDeploysAndRetiresThroughTheGrammar) {

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "guess/simulation.h"
+#include "../testsupport/guess_run.h"
 
 namespace guess {
 namespace {
@@ -203,8 +203,7 @@ TEST(Selfish, SelfishPeersGetFasterAnswersAndLoadTheNetwork) {
   SystemParams system = base_system(300);
   system.percent_selfish_peers = 20.0;
   system.selfish_parallel_probes = 50;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
-  auto results = sim.run();
+  auto results = testsupport::run_guess(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
   ASSERT_GT(results.selfish.queries_completed, 0u);
   ASSERT_GT(results.honest.queries_completed, 0u);
   // Blasting wide is the whole point: much faster responses...
@@ -221,10 +220,8 @@ TEST(Selfish, PaymentsContainSelfishBlasting) {
   system.selfish_parallel_probes = 50;
   ProtocolParams with_payments;
   with_payments.payments.enabled = true;
-  GuessSimulation unpaid(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
-  GuessSimulation paid(SimulationConfig().system(system).protocol(with_payments).options(quick()));
-  auto free_ride = unpaid.run();
-  auto economy = paid.run();
+  auto free_ride = testsupport::run_guess(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
+  auto economy = testsupport::run_guess(SimulationConfig().system(system).protocol(with_payments).options(quick()));
   // Free riding: blasting answers essentially instantly.
   EXPECT_LT(free_ride.selfish.response_time.mean(),
             free_ride.honest.response_time.mean() * 0.3);
@@ -241,7 +238,7 @@ TEST(Selfish, RolesPreservedThroughChurn) {
   SystemParams system = base_system(200);
   system.percent_selfish_peers = 15.0;
   system.lifespan_multiplier = 0.05;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
+  testsupport::GuessRun sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(quick()));
   auto& network = sim.network();
   sim.run();
   std::size_t selfish = 0;
@@ -257,7 +254,7 @@ TEST(Payments, CreditConservedPlusEndowments) {
   protocol.payments.enabled = true;
   protocol.payments.credit_cap = 1e18;   // no burning at the cap
   protocol.payments.serve_reward = 1.0;  // zero-sum transfers
-  GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(quick()));
+  testsupport::GuessRun sim(SimulationConfig().system(system).protocol(protocol).options(quick()));
   auto& network = sim.network();
   sim.run();
   // Every transfer is zero-sum; credit leaves the system only when peers
@@ -278,8 +275,7 @@ TEST(Payments, StalledQueriesAreAbandonedNotStuck) {
   protocol.payments.enabled = true;
   protocol.payments.initial_credit = 0.0;  // nobody can ever probe
   protocol.payments.max_stalled_slots = 10;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(quick()));
-  auto results = sim.run();
+  auto results = testsupport::run_guess(SimulationConfig().system(system).protocol(protocol).options(quick()));
   EXPECT_GT(results.queries_stalled_out, 0u);
   EXPECT_EQ(results.queries_satisfied, 0u);
   EXPECT_EQ(results.probes.total(), 0u);
@@ -290,8 +286,7 @@ TEST(AdaptiveParallel, ImprovesWorstCaseResponseTime) {
     ProtocolParams protocol;
     protocol.adaptive_parallel = adaptive;
     protocol.adaptive_parallel_trigger = 5;
-    GuessSimulation sim(SimulationConfig().system(base_system(300)).protocol(protocol).options(quick()));
-    return sim.run();
+    return testsupport::run_guess(SimulationConfig().system(base_system(300)).protocol(protocol).options(quick()));
   };
   auto fixed = run(false);
   auto adaptive = run(true);
@@ -313,8 +308,7 @@ TEST(AdaptivePingE2E, MatchesMaintenanceToChurn) {
     options.enable_queries = false;
     options.warmup = 300.0;
     options.measure = 3000.0;
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
-    return sim.run();
+    return testsupport::run_guess(SimulationConfig().system(system).protocol(protocol).options(options));
   };
   // Stable network: the adaptive controller backs off (1.5x per window up
   // to the cap), sending far fewer pings than the fixed 30-second schedule
@@ -346,8 +340,7 @@ TEST(DetectionE2E, DetectionPlusBootstrapSaveMrFromCollusion) {
   options.warmup = 1200.0;  // let the attack and the defense reach steady state
   options.measure = 1200.0;
   auto run = [&](const ProtocolParams& protocol) {
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
-    return sim.run();
+    return testsupport::run_guess(SimulationConfig().system(system).protocol(protocol).options(options));
   };
   auto undefended = run(mr);
   auto detected = run(detect_only);
@@ -373,8 +366,7 @@ TEST(QueryCacheAblation, WithoutQueryCacheRareItemsFail) {
     // Paper-like cache:network ratio so the link cache alone cannot cover
     // the network (the whole point of the query cache, §2.3).
     protocol.cache_size = 30;
-    GuessSimulation sim(SimulationConfig().system(base_system(300)).protocol(protocol).options(quick()));
-    return sim.run();
+    return testsupport::run_guess(SimulationConfig().system(base_system(300)).protocol(protocol).options(quick()));
   };
   auto with = run(true);
   auto without = run(false);

@@ -3,10 +3,20 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "guess/simulation.h"
+#include "experiments/harness.h"
+#include "search/backend.h"
 
 namespace guess {
 namespace {
+
+/// A GUESS run's results as run_search returns them.
+search::SearchResults as_search_results(const SimulationResults& r) {
+  search::SearchResults out;
+  out.queries_completed = r.queries_completed;
+  out.queries_satisfied = r.queries_satisfied;
+  out.extra = r;
+  return out;
+}
 
 TEST(Metrics, DerivedRatesFromCounters) {
   SimulationResults results;
@@ -31,6 +41,23 @@ TEST(Metrics, ZeroQueriesAreSafe) {
   EXPECT_DOUBLE_EQ(cls.probes_per_query(), 0.0);
 }
 
+// Both results types share one unsatisfied_rate() definition: a run with no
+// completed query reports 0.0 (nothing went unanswered), never 1.0, and a
+// run with completions gives the same value bit for bit.
+TEST(Metrics, UnsatisfiedRateAgreesAcrossResultTypes) {
+  SimulationResults none;
+  EXPECT_EQ(none.unsatisfied_rate(), 0.0);
+  EXPECT_EQ(as_search_results(none).unsatisfied_rate(), 0.0);
+  EXPECT_EQ(search::SearchResults{}.success_rate(), 0.0);
+
+  SimulationResults some;
+  some.queries_completed = 7;
+  some.queries_satisfied = 3;
+  EXPECT_EQ(as_search_results(some).unsatisfied_rate(),
+            some.unsatisfied_rate());
+  EXPECT_DOUBLE_EQ(some.unsatisfied_rate(), 4.0 / 7.0);
+}
+
 TEST(Metrics, ClassMetricsMirrorGlobalDerivations) {
   ClassMetrics cls;
   cls.queries_completed = 4;
@@ -49,7 +76,7 @@ TEST(Metrics, AverageComputesStandardErrors) {
   b.queries_completed = 10;
   b.queries_satisfied = 5;  // 0.5 unsat
   b.probes.good = 200;      // 20 probes/query
-  auto avg = average({a, b});
+  auto avg = experiments::average({as_search_results(a), as_search_results(b)});
   EXPECT_DOUBLE_EQ(avg.probes_per_query, 15.0);
   EXPECT_DOUBLE_EQ(avg.unsatisfied_rate, 0.25);
   // SE of {10, 20}: stddev = sqrt(50), / sqrt(2) = 5.
@@ -62,7 +89,7 @@ TEST(Metrics, SingleRunHasZeroStandardError) {
   SimulationResults a;
   a.queries_completed = 10;
   a.probes.good = 100;
-  auto avg = average({a});
+  auto avg = experiments::average({as_search_results(a)});
   EXPECT_DOUBLE_EQ(avg.probes_per_query_se, 0.0);
   EXPECT_DOUBLE_EQ(avg.unsatisfied_rate_se, 0.0);
 }

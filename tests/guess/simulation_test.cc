@@ -1,8 +1,11 @@
-#include "guess/simulation.h"
 
+// A GUESS run end to end through search::run_search: the engine's results
+// (extra_as<SimulationResults>()), seed sweeps and their averages.
 #include <gtest/gtest.h>
 
-#include "common/check.h"
+#include "experiments/harness.h"
+#include "search/backend.h"
+#include "../testsupport/guess_run.h"
 
 namespace guess {
 namespace {
@@ -24,8 +27,7 @@ SimulationOptions quick_options(std::uint64_t seed = 42) {
 }
 
 TEST(Simulation, RunsAndProducesQueries) {
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
-  auto results = sim.run();
+  auto results = testsupport::run_guess(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
   EXPECT_GT(results.queries_completed, 100u);
   EXPECT_GT(results.probes.total(), results.queries_completed);
   EXPECT_GT(results.queries_satisfied, 0u);
@@ -36,8 +38,7 @@ TEST(Simulation, RunsAndProducesQueries) {
 
 TEST(Simulation, SameSeedIsBitwiseReproducible) {
   auto run = [](std::uint64_t seed) {
-    GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options(seed)));
-    return sim.run();
+    return testsupport::run_guess(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options(seed)));
   };
   auto a = run(7);
   auto b = run(7);
@@ -52,23 +53,15 @@ TEST(Simulation, SameSeedIsBitwiseReproducible) {
 
 TEST(Simulation, DifferentSeedsDiffer) {
   auto run = [](std::uint64_t seed) {
-    GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options(seed)));
-    return sim.run();
+    return testsupport::run_guess(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options(seed)));
   };
   auto a = run(1);
   auto b = run(2);
   EXPECT_NE(a.probes.good, b.probes.good);
 }
 
-TEST(Simulation, RunTwiceThrows) {
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
-  sim.run();
-  EXPECT_THROW(sim.run(), CheckError);
-}
-
 TEST(Simulation, ResponseTimeConsistentWithProbeSlots) {
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
-  auto results = sim.run();
+  auto results = testsupport::run_guess(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
   // A satisfied query of k probes takes (k-1) × 0.2 s; mean response time
   // must therefore be below probes/query × 0.2.
   EXPECT_GT(results.response_time.mean(), 0.0);
@@ -81,8 +74,7 @@ TEST(Simulation, ConnectivitySamplingProducesSamples) {
   options.enable_queries = false;
   options.sample_connectivity = true;
   options.connectivity_sample_interval = 120.0;
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(options));
-  auto results = sim.run();
+  auto results = testsupport::run_guess(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(options));
   EXPECT_GE(results.largest_component.count(), 4u);
   EXPECT_GT(results.largest_component.mean(), 0.0);
   EXPECT_LE(results.largest_component.max(), 150.0);
@@ -94,21 +86,20 @@ TEST(Simulation, ConnectivitySamplingProducesSamples) {
 }
 
 TEST(Simulation, ConnectivityOffLeavesSnapshotZero) {
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
-  auto results = sim.run();
+  auto results = testsupport::run_guess(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
   EXPECT_EQ(results.final_largest_component, 0u);
   EXPECT_EQ(results.final_largest_strong_component, 0u);
 }
 
 TEST(Simulation, RunSeedsProducesOneResultPerSeed) {
-  auto runs = run_seeds(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()), 3);
+  auto runs = search::run_search_seeds(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()), 3);
   EXPECT_EQ(runs.size(), 3u);
-  EXPECT_NE(runs[0].probes.good, runs[1].probes.good);
+  EXPECT_NE(runs[0].probes, runs[1].probes);
 }
 
 TEST(Simulation, AverageAggregatesRuns) {
-  auto runs = run_seeds(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()), 2);
-  auto avg = average(runs);
+  auto runs = search::run_search_seeds(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()), 2);
+  auto avg = experiments::average(runs);
   double expected =
       (runs[0].probes_per_query() + runs[1].probes_per_query()) / 2.0;
   EXPECT_NEAR(avg.probes_per_query, expected, 1e-9);
@@ -116,14 +107,13 @@ TEST(Simulation, AverageAggregatesRuns) {
 }
 
 TEST(Simulation, AverageOfNothingIsZeroes) {
-  auto avg = average({});
+  auto avg = experiments::average({});
   EXPECT_DOUBLE_EQ(avg.probes_per_query, 0.0);
   EXPECT_DOUBLE_EQ(avg.unsatisfied_rate, 0.0);
 }
 
 TEST(Simulation, MetricsDerivationsAreConsistent) {
-  GuessSimulation sim(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
-  auto results = sim.run();
+  auto results = testsupport::run_guess(SimulationConfig().system(test_system()).protocol(ProtocolParams{}).options(quick_options()));
   EXPECT_NEAR(results.probes_per_query(),
               results.good_probes_per_query() +
                   results.dead_probes_per_query() +

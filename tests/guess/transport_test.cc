@@ -8,8 +8,10 @@
 
 #include "common/check.h"
 #include "guess/config.h"
-#include "guess/simulation.h"
+#include "guess/network.h"
 #include "guess/transport.h"
+#include "search/backend.h"
+#include "../testsupport/guess_run.h"
 #include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
@@ -329,17 +331,16 @@ TEST(TransportIdentity, OptionsBlockBitwiseIdenticalToChainedSetters) {
   options.seed = 17;
   options.warmup = 120.0;
   options.measure = 480.0;
-  GuessSimulation via_options_block(
+  SimulationResults via_legacy = testsupport::run_guess(
       SimulationConfig().system(system).protocol(protocol).options(options));
-  SimulationResults via_legacy = via_options_block.run();
 
-  GuessSimulation modern(SimulationConfig()
-                             .system(system)
-                             .protocol(protocol)
-                             .seed(17)
-                             .warmup(120.0)
-                             .measure(480.0));
-  SimulationResults via_config = modern.run();
+  SimulationResults via_config =
+      testsupport::run_guess(SimulationConfig()
+                                 .system(system)
+                                 .protocol(protocol)
+                                 .seed(17)
+                                 .warmup(120.0)
+                                 .measure(480.0));
 
   testsupport::expect_identical(via_legacy, via_config);
   // The synchronous transport still accounts for traffic.
@@ -362,8 +363,7 @@ TEST(TransportFaultInjection, TotalLossRunTerminatesUnsatisfied) {
                     .seed(5)
                     .warmup(100.0)
                     .measure(300.0);
-  GuessSimulation sim(config);
-  SimulationResults results = sim.run();
+  SimulationResults results = testsupport::run_guess(config);
   EXPECT_GT(results.queries_completed, 0u);
   EXPECT_EQ(results.queries_satisfied, 0u);
   EXPECT_EQ(results.probes.good, 0u);
@@ -392,7 +392,7 @@ TEST(TransportFaultInjection, PaymentsUnderLossDoNotOverdrawCredit) {
   protocol.parallel_probes = 3;  // several probes per slot compete for it
   TransportParams transport = TransportParams::lossy(0.2);
   transport.max_retries = 1;
-  GuessSimulation sim(SimulationConfig()
+  testsupport::GuessRun sim(SimulationConfig()
                           .system(system)
                           .protocol(protocol)
                           .transport(transport)
@@ -430,8 +430,7 @@ TEST(TransportFaultInjection, TimeoutRateMonotonicInLoss) {
                       .seed(9)
                       .warmup(100.0)
                       .measure(400.0);
-    GuessSimulation sim(config);
-    return sim.run();
+    return testsupport::run_guess(config);
   };
   SimulationResults none = run(0.0);
   SimulationResults low = run(0.05);
@@ -498,12 +497,14 @@ TEST(SimulationConfigValidate, RejectsNonsense) {
 TEST(SimulationConfigValidate, ConstructorsValidate) {
   SystemParams tiny;
   tiny.network_size = 1;
-  EXPECT_THROW(GuessSimulation sim(SimulationConfig().system(tiny)),
+  EXPECT_THROW(search::run_search(SimulationConfig().system(tiny)),
                CheckError);
-  EXPECT_THROW(
-      GuessSimulation sim(
-          SimulationConfig().transport(TransportParams::lossy(2.0))),
-      CheckError);
+  EXPECT_THROW(search::run_search(
+                   SimulationConfig().transport(TransportParams::lossy(2.0))),
+               CheckError);
+  sim::Simulator simulator;
+  EXPECT_THROW(GuessNetwork(SimulationConfig().system(tiny), simulator, Rng(1)),
+               CheckError);
 }
 
 TEST(TransportParamsDescribe, MentionsTheKnobs) {

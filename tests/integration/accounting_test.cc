@@ -3,7 +3,7 @@
 // aggregates for any configuration.
 #include <gtest/gtest.h>
 
-#include "guess/simulation.h"
+#include "../testsupport/guess_run.h"
 
 namespace guess {
 namespace {
@@ -15,8 +15,7 @@ SimulationResults run(SystemParams system, std::uint64_t seed = 42) {
   options.seed = seed;
   options.warmup = 150.0;
   options.measure = 700.0;
-  GuessSimulation sim(SimulationConfig().system(system).protocol(ProtocolParams{}).options(options));
-  return sim.run();
+  return testsupport::run_guess(SimulationConfig().system(system).protocol(ProtocolParams{}).options(options));
 }
 
 void check_reconciliation(const SimulationResults& results) {

@@ -4,8 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "gnutella/dynamic_overlay.h"
-#include "guess/simulation.h"
 #include "onehop/one_hop_dht.h"
+#include "search/backend.h"
+#include "../testsupport/guess_run.h"
 #include "../testsupport/simulation_results_eq.h"
 
 namespace guess {
@@ -81,8 +82,7 @@ TEST(Determinism, GuessWithEveryExtensionEnabled) {
     options.seed = seed;
     options.warmup = 150.0;
     options.measure = 600.0;
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
-    return sim.run();
+    return testsupport::run_guess(SimulationConfig().system(system).protocol(protocol).options(options));
   };
   auto a = run(31);
   auto b = run(31);
@@ -118,8 +118,7 @@ TEST(Determinism, HeapAndCalendarSchedulersBitwiseIdentical) {
     options.warmup = 150.0;
     options.measure = 600.0;
     options.scheduler = scheduler;
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(options));
-    return sim.run();
+    return testsupport::run_guess(SimulationConfig().system(system).protocol(protocol).options(options));
   };
   auto heap = run(sim::Scheduler::kHeap);
   auto calendar = run(sim::Scheduler::kCalendar);
@@ -147,8 +146,7 @@ TEST(Determinism, LossyTransportHeapAndCalendarBitwiseIdentical) {
                       .warmup(150.0)
                       .measure(600.0)
                       .scheduler(scheduler);
-    GuessSimulation sim(config);
-    return sim.run();
+    return testsupport::run_guess(config);
   };
   auto heap = run(sim::Scheduler::kHeap);
   auto calendar = run(sim::Scheduler::kCalendar);
@@ -186,8 +184,7 @@ TEST(Determinism, FaultScenarioHeapAndCalendarBitwiseIdentical) {
             .warmup(150.0)
             .measure(600.0)
             .scheduler(scheduler);
-    GuessSimulation sim(config);
-    return sim.run();
+    return testsupport::run_guess(config);
   };
   auto heap = run(sim::Scheduler::kHeap);
   auto calendar = run(sim::Scheduler::kCalendar);
@@ -244,8 +241,7 @@ TEST(Determinism, EachAttackHeapAndCalendarBitwiseIdentical) {
                         .warmup(150.0)
                         .measure(450.0)
                         .scheduler(scheduler);
-      GuessSimulation sim(config);
-      return sim.run();
+      return testsupport::run_guess(config);
     };
     auto heap = run(sim::Scheduler::kHeap);
     auto calendar = run(sim::Scheduler::kCalendar);
@@ -282,14 +278,15 @@ TEST(Determinism, AttackGauntletIdenticalAcrossThreadCounts) {
         .measure(480.0)
         .threads(threads);
   };
-  auto serial = run_seeds(config_for(1), 3);
-  auto pooled = run_seeds(config_for(4), 3);
+  auto serial = search::run_search_seeds(config_for(1), 3);
+  auto pooled = search::run_search_seeds(config_for(4), 3);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("seed index " + std::to_string(i));
     testsupport::expect_identical(serial[i], pooled[i]);
   }
-  EXPECT_GT(serial[0].attack.adversaries_spawned, 0u);
+  EXPECT_GT(serial[0].extra_as<SimulationResults>()->attack.adversaries_spawned,
+            0u);
 }
 
 // ... and across worker-thread counts: a scenario replication sweep must be
@@ -310,8 +307,8 @@ TEST(Determinism, FaultScenarioIdenticalAcrossThreadCounts) {
         .measure(480.0)
         .threads(threads);
   };
-  auto serial = run_seeds(config_for(1), 3);
-  auto pooled = run_seeds(config_for(4), 3);
+  auto serial = search::run_search_seeds(config_for(1), 3);
+  auto pooled = search::run_search_seeds(config_for(4), 3);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("seed index " + std::to_string(i));
@@ -319,7 +316,7 @@ TEST(Determinism, FaultScenarioIdenticalAcrossThreadCounts) {
   }
 }
 
-// run_seeds (which now dispatches replications onto a worker pool) must be
+// run_search_seeds (which dispatches replications onto a worker pool) must be
 // indistinguishable from n completely independent single-seed simulations,
 // entry for entry — the contract that makes the parallel path safe to use
 // for every figure and table in the paper reproduction.
@@ -336,14 +333,13 @@ TEST(Determinism, RunSeedsEqualsIndependentRuns) {
   options.threads = 0;  // auto: exercises the default (parallel) path
 
   const int kSeeds = 4;
-  auto sweep = run_seeds(SimulationConfig().system(system).protocol(protocol).options(options), kSeeds);
+  auto sweep = search::run_search_seeds(SimulationConfig().system(system).protocol(protocol).options(options), kSeeds);
   ASSERT_EQ(sweep.size(), static_cast<std::size_t>(kSeeds));
   for (int i = 0; i < kSeeds; ++i) {
     SCOPED_TRACE("seed index " + std::to_string(i));
     SimulationOptions one = options;
     one.seed = options.seed + static_cast<std::uint64_t>(i);
-    GuessSimulation sim(SimulationConfig().system(system).protocol(protocol).options(one));
-    auto independent = sim.run();
+    auto independent = testsupport::run_guess(SimulationConfig().system(system).protocol(protocol).options(one));
     testsupport::expect_identical(sweep[static_cast<std::size_t>(i)],
                                   independent);
   }
@@ -365,7 +361,7 @@ namespace {
 SimulationResults run_with_slot_order(const SimulationConfig& config,
                                       std::uint64_t shuffle_seed,
                                       std::size_t seeded_slots) {
-  GuessSimulation sim(config);
+  testsupport::GuessRun sim(config);
   if (shuffle_seed != 0) {
     std::vector<std::uint32_t> order(seeded_slots);
     for (std::size_t i = 0; i < seeded_slots; ++i) {
@@ -399,6 +395,9 @@ TEST(Determinism, SlotAssignmentInvisibleUnderChurn) {
                     .warmup(150.0)
                     .measure(600.0);
   auto natural = run_with_slot_order(config, 0, 0);
+  // The step-by-step driver runs run_search's schedule exactly.
+  testsupport::expect_identical(natural, testsupport::run_guess(config));
+  EXPECT_GT(natural.cache_health.samples, 0u);  // the samplers ran
   auto shuffled = run_with_slot_order(config, 1234, 400);
   testsupport::expect_identical(natural, shuffled);
   EXPECT_GT(natural.deaths, 0u);  // slots actually cycled through reuse
@@ -414,7 +413,7 @@ TEST(Determinism, SlotAssignmentInvisibleUnderChurn) {
 
 // The sharpest variant: lossy transport plus a full fault scenario (mass
 // kill, partition window, degradation window, flash-crowd join) with the
-// interval series on. Partition stamps, per-slot query slots and dead-load
+// interval series and connectivity sampling on. Partition stamps, per-slot query slots and dead-load
 // flushing all index by slot here; a shuffled slab must not shift a single
 // sample.
 TEST(Determinism, SlotAssignmentInvisibleUnderFaultScenario) {
@@ -436,10 +435,13 @@ TEST(Determinism, SlotAssignmentInvisibleUnderFaultScenario) {
               "at 300 partition 2 for 100; "
               "at 450 degrade loss=0.3 latency=2 for 50; at 550 join 60"))
           .metrics_interval(50.0)
+          .sample_connectivity(true)
           .seed(77)
           .warmup(150.0)
           .measure(600.0);
   auto natural = run_with_slot_order(config, 0, 0);
+  EXPECT_GT(natural.cache_health.samples, 0u);  // the samplers ran
+  EXPECT_GT(natural.largest_component.count(), 0u);
   auto shuffled = run_with_slot_order(config, 4321, 400);
   testsupport::expect_identical(natural, shuffled);
   auto calendar_shuffled = run_with_slot_order(

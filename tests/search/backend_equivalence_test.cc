@@ -5,6 +5,10 @@
 // (the sequences the pre-§12 benches used) and compares the legacy results
 // struct riding in the extension slot field by field, under both event-queue
 // backends. "Bitwise" is literal: doubles compare ==.
+//
+// GUESS has no separate driver; its cases compare run_search and
+// run_search_seeds against the recorded values in
+// tests/testdata/guess_legacy.golden.
 #include <gtest/gtest.h>
 
 #include "baseline/iterative_deepening.h"
@@ -12,10 +16,10 @@
 #include "baseline/static_population.h"
 #include "content/content_model.h"
 #include "gnutella/dynamic_overlay.h"
-#include "guess/simulation.h"
 #include "onehop/one_hop_dht.h"
 #include "search/backend.h"
 #include "sim/simulator.h"
+#include "../testsupport/results_golden.h"
 #include "../testsupport/simulation_results_eq.h"
 
 namespace guess::search {
@@ -43,6 +47,18 @@ class BackendEquivalenceTest : public ::testing::TestWithParam<sim::Scheduler> {
 
 // --- GUESS ------------------------------------------------------------------
 
+const testsupport::GoldenFile& legacy_goldens() {
+  static const testsupport::GoldenFile goldens =
+      testsupport::load_goldens("guess_legacy.golden");
+  return goldens;
+}
+
+/// Golden case recorded for `name` under `scheduler`.
+std::string equivalence_case(const std::string& name,
+                             sim::Scheduler scheduler) {
+  return "equivalence/" + name + "/" + sim::scheduler_name(scheduler);
+}
+
 TEST_P(BackendEquivalenceTest, GuessMatchesLegacySimulation) {
   auto config = SimulationConfig()
                     .system(small_system())
@@ -52,21 +68,23 @@ TEST_P(BackendEquivalenceTest, GuessMatchesLegacySimulation) {
                     .measure(400.0)
                     .scheduler(GetParam());
 
-  SimulationResults legacy = GuessSimulation(config).run();
   SearchResults unified = run_search(config);
 
   const auto* extra = unified.extra_as<SimulationResults>();
   ASSERT_NE(extra, nullptr);
-  testsupport::expect_identical(legacy, *extra);
+  testsupport::expect_matches_golden(legacy_goldens(),
+                                     equivalence_case("plain", GetParam()),
+                                     testsupport::golden_record(*extra));
 
-  // The unified mapping is arithmetic over the legacy struct.
+  // The unified mapping is arithmetic over the engine's struct.
   EXPECT_EQ(unified.backend, "guess");
-  EXPECT_EQ(unified.queries_completed, legacy.queries_completed);
-  EXPECT_EQ(unified.queries_satisfied, legacy.queries_satisfied);
-  EXPECT_EQ(unified.probes, legacy.probes.total());
-  EXPECT_EQ(unified.deaths, legacy.deaths);
+  EXPECT_EQ(unified.queries_completed, extra->queries_completed);
+  EXPECT_EQ(unified.queries_satisfied, extra->queries_satisfied);
+  EXPECT_EQ(unified.probes, extra->probes.total());
+  EXPECT_EQ(unified.deaths, extra->deaths);
   EXPECT_EQ(unified.measure_duration, 400.0);
-  expect_identical(unified.probe_samples, legacy.query_probes);
+  EXPECT_GT(unified.events_fired, 0u);
+  expect_identical(unified.probe_samples, extra->query_probes);
   EXPECT_GT(unified.queries_completed, 0u);
   EXPECT_GT(unified.bytes_on_wire(), 0u);
 }
@@ -74,7 +92,7 @@ TEST_P(BackendEquivalenceTest, GuessMatchesLegacySimulation) {
 TEST_P(BackendEquivalenceTest, GuessMatchesLegacyUnderFaultsAndLossAndIntervals) {
   // The loaded variant: lossy transport, a fault scenario, the interval
   // series and connectivity sampling all at once — every optional code path
-  // of the driver loop must stay in lockstep with GuessSimulation::run().
+  // of the driver loop must match the goldens.
   auto config = SimulationConfig()
                     .system(small_system())
                     .protocol(ProtocolParams{})
@@ -88,15 +106,45 @@ TEST_P(BackendEquivalenceTest, GuessMatchesLegacyUnderFaultsAndLossAndIntervals)
                     .measure(400.0)
                     .scheduler(GetParam());
 
-  SimulationResults legacy = GuessSimulation(config).run();
   SearchResults unified = run_search(config);
 
   const auto* extra = unified.extra_as<SimulationResults>();
   ASSERT_NE(extra, nullptr);
-  testsupport::expect_identical(legacy, *extra);
+  testsupport::expect_matches_golden(legacy_goldens(),
+                                     equivalence_case("faults", GetParam()),
+                                     testsupport::golden_record(*extra));
   testsupport::expect_identical(unified.interval_series,
-                                legacy.interval_series);
+                                extra->interval_series);
   EXPECT_GT(unified.interval_series.size(), 0u);
+}
+
+// The seed sweep: run_search_seeds at 1 and 4 threads matches the golden
+// sweep (recorded serially under the heap scheduler) field for field.
+TEST_P(BackendEquivalenceTest, GuessSeedSweepMatchesLegacyRunSeeds) {
+  ProtocolParams mfs;
+  mfs.query_pong = Policy::kMFS;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto runs = run_search_seeds(SimulationConfig()
+                                     .system(small_system())
+                                     .protocol(mfs)
+                                     .seed(5)
+                                     .warmup(200.0)
+                                     .measure(400.0)
+                                     .sample_connectivity(true)
+                                     .threads(threads)
+                                     .scheduler(GetParam()),
+                                 3);
+    ASSERT_EQ(runs.size(), 3u);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      SCOPED_TRACE("seed index " + std::to_string(i));
+      const auto* extra = runs[i].extra_as<SimulationResults>();
+      ASSERT_NE(extra, nullptr);
+      testsupport::expect_matches_golden(legacy_goldens(),
+                                         "seeds/" + std::to_string(i),
+                                         testsupport::golden_record(*extra));
+    }
+  }
 }
 
 // --- Gnutella flooding ------------------------------------------------------

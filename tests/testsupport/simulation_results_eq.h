@@ -4,114 +4,56 @@
 //
 // "Bitwise" is meant literally: a replication is the same sequence of
 // floating-point operations no matter which thread runs it, so every double
-// must compare == (not just within a tolerance). EXPECT_EQ on doubles does
-// exactly that.
+// must compare == (not just within a tolerance). The fields compared are the
+// ones golden_record() flattens (tests/testsupport/results_golden.h), so one
+// list defines what a GUESS result is, for goldens and live runs alike.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include "guess/metrics.h"
+#include "search/backend.h"
+#include "results_golden.h"
 
 namespace guess::testsupport {
 
+/// Any value GoldenRecorder can flatten, as a one-entry record.
+template <typename T>
+GoldenRecord flatten(const T& value) {
+  GoldenRecorder recorder;
+  recorder.add("value", value);
+  return recorder.take();
+}
+
 inline void expect_identical(const RunningStat& a, const RunningStat& b) {
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.variance(), b.variance());
-  EXPECT_EQ(a.min(), b.min());
-  EXPECT_EQ(a.max(), b.max());
-  EXPECT_EQ(a.sum(), b.sum());
-}
-
-inline void expect_identical(const ProbeCounters& a, const ProbeCounters& b) {
-  EXPECT_EQ(a.good, b.good);
-  EXPECT_EQ(a.dead, b.dead);
-  EXPECT_EQ(a.refused, b.refused);
-}
-
-inline void expect_identical(const ClassMetrics& a, const ClassMetrics& b) {
-  EXPECT_EQ(a.queries_completed, b.queries_completed);
-  EXPECT_EQ(a.queries_satisfied, b.queries_satisfied);
-  expect_identical(a.probes, b.probes);
-  expect_identical(a.response_time, b.response_time);
-}
-
-inline void expect_identical(const TransportCounters& a,
-                             const TransportCounters& b) {
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.messages_lost, b.messages_lost);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.late_replies, b.late_replies);
-  EXPECT_EQ(a.exchanges_failed, b.exchanges_failed);
-}
-
-inline void expect_identical(const AttackStats& a, const AttackStats& b) {
-  EXPECT_EQ(a.adversaries_spawned, b.adversaries_spawned);
-  EXPECT_EQ(a.adversaries_retired, b.adversaries_retired);
-  EXPECT_EQ(a.sybil_respawns, b.sybil_respawns);
-  EXPECT_EQ(a.withheld_exchanges, b.withheld_exchanges);
-  EXPECT_EQ(a.oversized_pongs, b.oversized_pongs);
-  EXPECT_EQ(a.pong_entries_dropped, b.pong_entries_dropped);
-  EXPECT_EQ(a.no_reply_charges, b.no_reply_charges);
-}
-
-inline void expect_identical(const CacheHealth& a, const CacheHealth& b) {
-  EXPECT_EQ(a.fraction_live, b.fraction_live);
-  EXPECT_EQ(a.absolute_live, b.absolute_live);
-  EXPECT_EQ(a.good_entries, b.good_entries);
-  EXPECT_EQ(a.entries, b.entries);
-  EXPECT_EQ(a.samples, b.samples);
-}
-
-inline void expect_identical(const IntervalSample& a,
-                             const IntervalSample& b) {
-  EXPECT_EQ(a.start, b.start);
-  EXPECT_EQ(a.end, b.end);
-  EXPECT_EQ(a.queries_completed, b.queries_completed);
-  EXPECT_EQ(a.queries_satisfied, b.queries_satisfied);
-  EXPECT_EQ(a.probes, b.probes);
-  EXPECT_EQ(a.live_peers, b.live_peers);
-  expect_identical(a.transport, b.transport);
+  expect_matches_golden(flatten(a), flatten(b));
 }
 
 inline void expect_identical(const IntervalSeries& a,
                              const IntervalSeries& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("interval " + std::to_string(i));
-    expect_identical(a[i], b[i]);
-  }
+  expect_matches_golden(flatten(a), flatten(b));
 }
 
 /// Every field of SimulationResults, entry-for-entry.
 inline void expect_identical(const SimulationResults& a,
                              const SimulationResults& b) {
-  EXPECT_EQ(a.queries_completed, b.queries_completed);
-  EXPECT_EQ(a.queries_satisfied, b.queries_satisfied);
-  expect_identical(a.probes, b.probes);
-  expect_identical(a.honest, b.honest);
-  expect_identical(a.selfish, b.selfish);
-  expect_identical(a.response_time, b.response_time);
-  expect_identical(a.query_cache_population, b.query_cache_population);
-  ASSERT_EQ(a.query_probes.size(), b.query_probes.size());
-  EXPECT_EQ(a.query_probes.values(), b.query_probes.values());
-  ASSERT_EQ(a.peer_loads.size(), b.peer_loads.size());
-  EXPECT_EQ(a.peer_loads.values(), b.peer_loads.values());
-  expect_identical(a.cache_health, b.cache_health);
-  expect_identical(a.largest_component, b.largest_component);
-  EXPECT_EQ(a.final_largest_component, b.final_largest_component);
-  EXPECT_EQ(a.final_largest_strong_component,
-            b.final_largest_strong_component);
-  EXPECT_EQ(a.deaths, b.deaths);
-  EXPECT_EQ(a.pings_sent, b.pings_sent);
-  EXPECT_EQ(a.pings_to_dead, b.pings_to_dead);
-  expect_identical(a.transport, b.transport);
-  expect_identical(a.attack, b.attack);
-  EXPECT_EQ(a.queries_stalled_out, b.queries_stalled_out);
-  EXPECT_EQ(a.measure_duration, b.measure_duration);
-  EXPECT_EQ(a.network_size, b.network_size);
-  expect_identical(a.interval_series, b.interval_series);
+  expect_matches_golden(golden_record(a), golden_record(b));
+}
+
+/// A GUESS run_search result (its extra_as<SimulationResults>() slot)
+/// against a reference.
+inline void expect_identical(const search::SearchResults& a,
+                             const SimulationResults& b) {
+  const auto* engine = a.extra_as<SimulationResults>();
+  ASSERT_NE(engine, nullptr) << "not a GUESS run: " << a.backend;
+  expect_identical(*engine, b);
+}
+
+inline void expect_identical(const search::SearchResults& a,
+                             const search::SearchResults& b) {
+  const auto* engine = b.extra_as<SimulationResults>();
+  ASSERT_NE(engine, nullptr) << "not a GUESS run: " << b.backend;
+  expect_identical(a, *engine);
 }
 
 }  // namespace guess::testsupport
