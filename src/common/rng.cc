@@ -27,19 +27,26 @@ void Rng::sample_indices_into(std::size_t n, std::size_t k,
     }
     return;
   }
-  // Sparse case: rejection sampling. k << n here, so a linear membership
-  // scan of the accepted prefix beats a hash set — and accepts/rejects the
-  // identical candidate sequence, keeping the engine draws unchanged.
+  // Sparse case: rejection sampling with an open-addressing set of 2k
+  // slots in `scratch` (load <= 1/2, linear probing), so each membership
+  // test is O(1). It accepts and rejects the identical candidate sequence a
+  // scan of the accepted prefix would, keeping the engine draws unchanged.
+  // 2k < n here, so scratch never outgrows the dense branch's n entries.
+  // Candidates are uniform, so the index itself hashes well; it is also
+  // < n, so the all-ones marker never collides with one.
+  constexpr std::size_t kEmpty = ~std::size_t{0};
+  const std::size_t slots = 2 * k;
+  scratch.assign(slots, kEmpty);
   while (out.size() < k) {
     std::size_t candidate = index(n);
-    bool fresh = true;
-    for (std::size_t prior : out) {
-      if (prior == candidate) {
-        fresh = false;
-        break;
-      }
+    std::size_t slot = candidate % slots;
+    while (scratch[slot] != kEmpty && scratch[slot] != candidate) {
+      if (++slot == slots) slot = 0;
     }
-    if (fresh) out.push_back(candidate);
+    if (scratch[slot] == kEmpty) {
+      scratch[slot] = candidate;
+      out.push_back(candidate);
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 #include "content/content_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
+#include <cstdint>
 
 #include "common/check.h"
 
@@ -40,6 +41,17 @@ const EmpiricalDistribution& sharing_table() {
   });
   return table;
 }
+
+// The per-peer library cap. Checked before the cast: converting a NaN or
+// negative double to an unsigned integer is undefined behaviour.
+std::size_t library_cap(const ContentParams& params) {
+  GUESS_CHECK_MSG(std::isfinite(params.max_library_fraction) &&
+                      params.max_library_fraction >= 0.0,
+                  "max_library_fraction must be finite and >= 0, got "
+                      << params.max_library_fraction);
+  return static_cast<std::size_t>(params.max_library_fraction *
+                                  static_cast<double>(params.catalog_size));
+}
 }  // namespace
 
 const EmpiricalDistribution& ContentModel::sharing_distribution() {
@@ -50,14 +62,15 @@ ContentModel::ContentModel(ContentParams params)
     : params_(params),
       file_popularity_(params.catalog_size, params.file_alpha),
       query_popularity_(params.query_universe, params.query_alpha),
-      max_library_(static_cast<std::size_t>(
-          params.max_library_fraction *
-          static_cast<double>(params.catalog_size))) {
+      max_library_(library_cap(params)) {
   GUESS_CHECK(params_.catalog_size > 0);
   GUESS_CHECK(params_.query_universe >= params_.catalog_size);
   GUESS_CHECK(params_.free_rider_fraction >= 0.0 &&
               params_.free_rider_fraction < 1.0);
   GUESS_CHECK(max_library_ >= 1);
+  // A larger cap would ask sample_library for more distinct files than
+  // exist, and its rejection loop would never finish.
+  GUESS_CHECK(max_library_ <= params_.catalog_size);
   // Precomputed once: summing the O(query_universe) pmf tail on every call
   // made this the dominant cost for harnesses that report the floor per
   // configuration.
@@ -78,15 +91,31 @@ std::size_t ContentModel::sample_file_count(Rng& rng) const {
 Library ContentModel::sample_library(std::size_t count, Rng& rng) const {
   GUESS_CHECK_MSG(count <= max_library_,
                   "library size " << count << " exceeds cap " << max_library_);
-  std::unordered_set<FileId> chosen;
-  chosen.reserve(count * 2);
-  // Distinct Zipf sampling by rejection. Collisions concentrate on the head
-  // ranks; with libraries capped well below the catalog this stays cheap.
-  while (chosen.size() < count) {
-    chosen.insert(static_cast<FileId>(file_popularity_.sample(rng)));
+  if (count == 0) return Library{};
+  // Distinct Zipf sampling by rejection over a bitmap of the catalog: a
+  // repeat is one bit test. Collisions concentrate on the head ranks; with
+  // libraries capped well below the catalog this stays cheap.
+  constexpr std::size_t kWordBits = 64;
+  std::vector<std::uint64_t> chosen(
+      (params_.catalog_size + kWordBits - 1) / kWordBits);
+  for (std::size_t distinct = 0; distinct < count;) {
+    std::size_t file = file_popularity_.sample(rng);
+    std::uint64_t& word = chosen[file / kWordBits];
+    std::uint64_t bit = std::uint64_t{1} << (file % kWordBits);
+    if ((word & bit) == 0) {
+      word |= bit;
+      ++distinct;
+    }
   }
-  std::vector<FileId> files(chosen.begin(), chosen.end());
-  std::sort(files.begin(), files.end());
+  // Reading the set bits out word by word yields the files already sorted.
+  std::vector<FileId> files;
+  files.reserve(count);
+  for (std::size_t w = 0; w < chosen.size(); ++w) {
+    for (std::uint64_t bits = chosen[w]; bits != 0; bits &= bits - 1) {
+      files.push_back(static_cast<FileId>(
+          w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits))));
+    }
+  }
   return Library(std::move(files));
 }
 

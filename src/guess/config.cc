@@ -42,6 +42,15 @@ const SimulationConfig& SimulationConfig::validate() const {
                   "percent_bad_peers must be finite");
   GUESS_CHECK_MSG(std::isfinite(system_.percent_selfish_peers),
                   "percent_selfish_peers must be finite");
+  const content::ContentParams& content = system_.content;
+  GUESS_CHECK_MSG(std::isfinite(content.file_alpha),
+                  "content file_alpha must be finite");
+  GUESS_CHECK_MSG(std::isfinite(content.query_alpha),
+                  "content query_alpha must be finite");
+  GUESS_CHECK_MSG(std::isfinite(content.free_rider_fraction),
+                  "content free_rider_fraction must be finite");
+  GUESS_CHECK_MSG(std::isfinite(content.max_library_fraction),
+                  "content max_library_fraction must be finite");
   GUESS_CHECK_MSG(std::isfinite(transport_.loss),
                   "transport loss must be finite");
   GUESS_CHECK_MSG(std::isfinite(transport_.link_latency),
@@ -95,6 +104,34 @@ const SimulationConfig& SimulationConfig::validate() const {
   GUESS_CHECK_MSG(system_.burst_min >= 1 &&
                       system_.burst_min <= system_.burst_max,
                   "query burst bounds must satisfy 1 <= min <= max");
+
+  // Content model (DESIGN.md substitutions #2 and #3).
+  GUESS_CHECK_MSG(content.catalog_size >= 1,
+                  "content catalog_size must be >= 1");
+  GUESS_CHECK_MSG(content.query_universe >= content.catalog_size,
+                  "content query_universe must be >= catalog_size, got "
+                      << content.query_universe << " < "
+                      << content.catalog_size);
+  GUESS_CHECK_MSG(content.file_alpha >= 0.0,
+                  "content file_alpha must be >= 0, got "
+                      << content.file_alpha);
+  GUESS_CHECK_MSG(content.query_alpha >= 0.0,
+                  "content query_alpha must be >= 0, got "
+                      << content.query_alpha);
+  GUESS_CHECK_MSG(content.free_rider_fraction >= 0.0 &&
+                      content.free_rider_fraction < 1.0,
+                  "content free_rider_fraction must be in [0, 1), got "
+                      << content.free_rider_fraction);
+  // Above 1 a library could need more distinct files than the catalog has.
+  GUESS_CHECK_MSG(content.max_library_fraction > 0.0 &&
+                      content.max_library_fraction <= 1.0,
+                  "content max_library_fraction must be in (0, 1], got "
+                      << content.max_library_fraction);
+  GUESS_CHECK_MSG(static_cast<double>(content.catalog_size) *
+                          content.max_library_fraction >=
+                      1.0,
+                  "content catalog_size * max_library_fraction must be >= 1 "
+                  "(every sharing peer shares at least one file)");
 
   // Protocol (Table 2).
   GUESS_CHECK_MSG(protocol_.ping_interval > 0.0,

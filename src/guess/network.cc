@@ -274,18 +274,26 @@ void GuessNetwork::seed_initial_caches() {
   std::size_t seed_size = system_.resolved_cache_seed(protocol_.cache_size);
   // Seed from the initial population only (all alive at time 0).
   std::vector<PeerId> population = table_.alive_ids();
+  // Introductions depend only on the target and the clock, neither of which
+  // moves while seeding, so build them once in population order instead of
+  // looking every picked target up in the peer table.
+  std::vector<CacheEntry> introductions;
+  introductions.reserve(population.size());
   for (PeerId id : population) {
-    Peer& peer = *find(id);
-    auto picks = rng_.sample_indices(population.size(),
-                                     std::min(seed_size + 1,
-                                              population.size()));
+    introductions.push_back(introduction_entry(*find(id)));
+  }
+  std::size_t picks_per_peer = std::min(seed_size + 1, population.size());
+  std::vector<std::size_t> picks;
+  std::vector<std::size_t> scratch;
+  for (std::size_t self = 0; self < population.size(); ++self) {
+    Peer& peer = *find(population[self]);
+    rng_.sample_indices_into(population.size(), picks_per_peer, picks,
+                             scratch);
     std::size_t added = 0;
     for (std::size_t idx : picks) {
       if (added >= seed_size) break;
-      PeerId other = population[idx];
-      if (other == id) continue;
-      const Peer& target = *find(other);
-      peer.cache().insert_free(introduction_entry(target));
+      if (idx == self) continue;
+      peer.cache().insert_free(introductions[idx]);
       ++added;
     }
   }

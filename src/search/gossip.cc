@@ -38,6 +38,9 @@ void GossipBackend::bootstrap() {
   // Fallback probing permutations; +1 leaves room to skip the origin.
   probe_order_.reserve(
       std::max(n, config_.backends().gossip.max_probes + 1));
+  // The samples' index pool (dense) or membership set (sparse, 2k < alive
+  // slots); either fits in the live population.
+  sample_scratch_.reserve(n + n / 4);
   for (std::size_t i = 0; i < n; ++i) spawn_peer(/*initial=*/true);
 }
 

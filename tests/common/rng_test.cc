@@ -7,6 +7,8 @@
 #include <set>
 #include <tuple>
 
+#include "../testsupport/bootstrap_reference.h"
+
 namespace guess {
 namespace {
 
@@ -174,6 +176,35 @@ TEST(Rng, SampleIndicesIntoDrawIdentity) {
   }
   // Same number of raw draws consumed overall.
   EXPECT_EQ(a.engine()(), b.engine()());
+}
+
+TEST(Rng, SampleIndicesIntoMatchesFrozenReference) {
+  // Straddle the dense/sparse switch (k*3 >= n) from both sides and
+  // include sparse samples from k = 1 to thousands, interleaved over one
+  // pair of generators and reused buffers, so a single extra or missing
+  // draw desynchronises every later call.
+  const std::vector<std::pair<std::size_t, std::size_t>> cases = {
+      {1000, 1},      {1000, 5},      {1000, 17},    {1000, 333},
+      {1000, 334},    {50000, 101},   {49, 16},      {49, 17},
+      {100, 33},      {100, 34},      {100, 100},    {64, 0},
+      {200000, 2000}, {7, 6},         {7, 2},        {8, 2}};
+  Rng live(61);
+  Rng ref(61);
+  std::vector<std::size_t> out;
+  std::vector<std::size_t> scratch;
+  std::vector<std::size_t> ref_out;
+  std::vector<std::size_t> ref_scratch;
+  for (int round = 0; round < 40; ++round) {
+    for (auto [n, k] : cases) {
+      scratch.clear();  // keeps capacity; every branch rewrites what it reads
+      live.sample_indices_into(n, k, out, scratch);
+      reference::sample_indices_into(ref, n, k, ref_out, ref_scratch);
+      ASSERT_EQ(out, ref_out) << "n=" << n << " k=" << k;
+      // A caller that reserved n scratch entries never reallocates.
+      ASSERT_LE(scratch.size(), n) << "n=" << n << " k=" << k;
+    }
+  }
+  EXPECT_EQ(live.engine()(), ref.engine()());
 }
 
 TEST(Rng, SampleIndicesUniformity) {

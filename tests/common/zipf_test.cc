@@ -4,8 +4,13 @@
 
 #include "common/check.h"
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <tuple>
 #include <vector>
+
+#include "../testsupport/bootstrap_reference.h"
 
 namespace guess {
 namespace {
@@ -84,6 +89,56 @@ TEST(Zipf, NormalizerMatchesDirectSum) {
   }
   EXPECT_NEAR(zipf.normalizer(), h, 1e-9);
 }
+
+// --- Frozen-reference equivalence of the guide-table search ---
+
+class ZipfFrozenReferenceTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, double>> {};
+
+TEST_P(ZipfFrozenReferenceTest, DrawsMatchFullBinarySearch) {
+  auto [n, alpha] = GetParam();
+  ZipfDistribution zipf(n, alpha);
+  reference::Zipf frozen(n, alpha);
+  Rng live(static_cast<std::uint64_t>(n) * 31 + 7);
+  Rng ref(static_cast<std::uint64_t>(n) * 31 + 7);
+  for (int i = 0; i < 1'000'000; ++i) {
+    ASSERT_EQ(zipf.sample(live), frozen.sample(ref)) << "draw " << i;
+  }
+  EXPECT_EQ(live.engine()(), ref.engine()());
+}
+
+TEST_P(ZipfFrozenReferenceTest, RankOfMatchesAtEveryBoundary) {
+  auto [n, alpha] = GetParam();
+  ZipfDistribution zipf(n, alpha);
+  reference::Zipf frozen(n, alpha);
+  // Every guide-table bucket edge k/S, every CDF value, and the doubles
+  // either side of each: where a narrowed search would go wrong first.
+  const double buckets = static_cast<double>(std::bit_ceil(n));
+  std::vector<double> edges = {0.0, -0.0, 1.0, 2.0, -1.0,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::denorm_min()};
+  for (double k = 0.0; k <= buckets; k += 1.0) edges.push_back(k / buckets);
+  for (double c : frozen.cdf()) edges.push_back(c);
+  const std::size_t exact = edges.size();
+  for (std::size_t i = 0; i < exact; ++i) {
+    edges.push_back(std::nextafter(edges[i], -1.0));
+    edges.push_back(std::nextafter(edges[i], 2.0));
+  }
+  for (double u : edges) {
+    ASSERT_EQ(zipf.rank_of(u), frozen.rank_of(u)) << "u=" << u;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, ZipfFrozenReferenceTest,
+    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{3}, std::size_t{1024},
+                                         std::size_t{8000}, std::size_t{10000}),
+                       ::testing::Values(0.0, 0.8, 1.5)),
+    [](const auto& info) {
+      return "n" + std::to_string(std::get<0>(info.param)) + "_alpha" +
+             std::to_string(static_cast<int>(std::get<1>(info.param) * 10));
+    });
 
 }  // namespace
 }  // namespace guess

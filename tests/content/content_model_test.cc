@@ -4,7 +4,10 @@
 
 #include "common/check.h"
 
+#include <limits>
 #include <map>
+
+#include "../testsupport/bootstrap_reference.h"
 
 namespace guess::content {
 namespace {
@@ -124,6 +127,54 @@ TEST(ContentModel, InvalidParamsRejected) {
   params = ContentParams{};
   params.free_rider_fraction = 1.0;
   EXPECT_THROW(ContentModel{params}, CheckError);
+}
+
+TEST(ContentModel, LibraryCapCheckedBeforeUse) {
+  // NaN, infinity and negatives must be rejected before the (undefined)
+  // float-to-integer cast; 2.0 because a cap above the catalog would make
+  // distinct sampling loop forever.
+  for (double fraction : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(), -0.5,
+                          2.0}) {
+    ContentParams params;
+    params.catalog_size = 100;
+    params.query_universe = 100;
+    params.max_library_fraction = fraction;
+    EXPECT_THROW(ContentModel{params}, CheckError) << fraction;
+  }
+}
+
+// --- Frozen-reference equivalence of the bitmap sampler ---
+
+void expect_libraries_match_reference(const ContentParams& params,
+                                      std::uint64_t seed) {
+  ContentModel model(params);
+  reference::Zipf frozen(params.catalog_size, params.file_alpha);
+  const auto max_library = static_cast<std::size_t>(
+      params.max_library_fraction * static_cast<double>(params.catalog_size));
+  Rng live(seed);
+  Rng ref(seed);
+  for (std::size_t count = 1; count <= max_library; ++count) {
+    Library lib = model.sample_library(count, live);
+    ASSERT_EQ(lib.files(), reference::sample_library(frozen, count, ref))
+        << "count " << count;
+  }
+  EXPECT_EQ(live.engine()(), ref.engine()());
+  EXPECT_THROW(model.sample_library(max_library + 1, live), CheckError);
+}
+
+TEST(ContentModelFrozenReference, DefaultCatalogEveryCount) {
+  expect_libraries_match_reference(ContentParams{}, 17);
+}
+
+TEST(ContentModelFrozenReference, TinyCatalogEveryCountUpToFull) {
+  // 70 files: two bitmap words, the second partial, sampled up to the
+  // whole catalog.
+  ContentParams params;
+  params.catalog_size = 70;
+  params.query_universe = 70;
+  params.max_library_fraction = 1.0;
+  expect_libraries_match_reference(params, 23);
 }
 
 TEST(ContentModel, SharingDistributionIsHeavyTailed) {

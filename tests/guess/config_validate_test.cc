@@ -62,6 +62,67 @@ TEST(ConfigValidate, SystemBounds) {
                CheckError);
 }
 
+// --- ContentParams (DESIGN.md substitutions #2 and #3) ---
+
+TEST(ConfigValidate, ContentBounds) {
+  auto with = [](auto mutate) {
+    SystemParams system;
+    mutate(system.content);
+    return SimulationConfig().system(system);
+  };
+  using content::ContentParams;
+  EXPECT_THROW(with([](ContentParams& c) { c.file_alpha = kNaN; }).validate(),
+               CheckError);
+  EXPECT_THROW(with([](ContentParams& c) { c.file_alpha = -0.1; }).validate(),
+               CheckError);
+  EXPECT_THROW(with([](ContentParams& c) { c.query_alpha = kInf; }).validate(),
+               CheckError);
+  EXPECT_THROW(with([](ContentParams& c) { c.query_alpha = -1.0; }).validate(),
+               CheckError);
+  EXPECT_THROW(
+      with([](ContentParams& c) { c.free_rider_fraction = kNaN; }).validate(),
+      CheckError);
+  EXPECT_THROW(
+      with([](ContentParams& c) { c.free_rider_fraction = 1.0; }).validate(),
+      CheckError);
+  EXPECT_THROW(
+      with([](ContentParams& c) { c.max_library_fraction = kNaN; }).validate(),
+      CheckError);
+  EXPECT_THROW(
+      with([](ContentParams& c) { c.max_library_fraction = 0.0; }).validate(),
+      CheckError);
+  // Would ask for up to 200 distinct files out of 100: an endless loop.
+  EXPECT_THROW(with([](ContentParams& c) {
+                 c.catalog_size = 100;
+                 c.query_universe = 100;
+                 c.max_library_fraction = 2.0;
+               }).validate(),
+               CheckError);
+  EXPECT_THROW(with([](ContentParams& c) {
+                 c.catalog_size = 0;
+                 c.query_universe = 0;
+               }).validate(),
+               CheckError);
+  EXPECT_THROW(
+      with([](ContentParams& c) { c.query_universe = c.catalog_size - 1; })
+          .validate(),
+      CheckError);
+  EXPECT_THROW(with([](ContentParams& c) {
+                 c.catalog_size = 4;
+                 c.query_universe = 4;
+                 c.max_library_fraction = 0.2;  // cap 0.8 files
+               }).validate(),
+               CheckError);
+  EXPECT_NO_THROW(with([](ContentParams& c) {
+                    c.catalog_size = 5;
+                    c.query_universe = 5;
+                    c.max_library_fraction = 0.2;  // cap exactly 1 file
+                  }).validate());
+  EXPECT_NO_THROW(with([](ContentParams& c) {
+                    c.max_library_fraction = 1.0;
+                  }).validate());
+}
+
 // --- ProtocolParams (Table 2) ---
 
 TEST(ConfigValidate, ProtocolBounds) {
