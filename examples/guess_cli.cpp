@@ -81,7 +81,7 @@ Open-loop arrivals + overload control (DESIGN.md §13):
                            process at --offered-qps, any backend)
   --offered-qps=0          offered load in queries/s (required when open)
   --arrival-dist=poisson   poisson | uniform inter-arrival gaps
-  --overload-policy=none   none | admit | shed | backpressure
+  --overload-policy=none   none | admit | shed
   --slo-ms=10000           latency SLO (ms) for goodput accounting
 
 Run control:
@@ -108,10 +108,8 @@ int main(int argc, char** argv) {
   system.max_probes_per_second =
       static_cast<std::uint32_t>(flags.get_int("max-probes-per-sec", 100));
   system.percent_bad_peers = flags.get_double("bad", 0.0);
-  system.bad_pong_behavior =
-      flags.get_string("bad-behavior", "Dead") == "Bad"
-          ? guess::BadPongBehavior::kBad
-          : guess::BadPongBehavior::kDead;
+  system.bad_pong_behavior = guess::parse_bad_pong_behavior(
+      flags.get_string("bad-behavior", "Dead"));
   system.percent_selfish_peers = flags.get_double("selfish", 0.0);
 
   guess::ProtocolParams protocol;

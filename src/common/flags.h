@@ -99,8 +99,8 @@ class Flags {
   std::string arrival_dist() const {
     return get_string("arrival-dist", "poisson");
   }
-  /// Overload policy (--overload-policy=admit): one of none, admit, shed,
-  /// backpressure. Parsed by guess::parse_overload_policy.
+  /// Overload policy (--overload-policy=admit): one of none, admit, shed.
+  /// Parsed by guess::parse_overload_policy.
   std::string overload_policy() const {
     return get_string("overload-policy", "none");
   }

@@ -1,6 +1,16 @@
-// The adversary zoo (DESIGN.md §11) — active attackers beyond §6.4's cache
-// poisoners, generalizing PoisonGenerator's roster/pong machinery into an
-// AdversaryBehavior interface with one concrete behavior per AttackKind:
+// The adversary zoo (DESIGN.md §11): every attacker in a run, behind one
+// AdversaryBehavior interface and one membership index.
+//
+// §6.4's cache poisoners are born with the population (PercentBadPeers) and
+// churn with it. They answer every Ping/Probe with poison chosen by
+// SystemParams::bad_pong_behavior and lie about NumFiles:
+//
+//   Dead       — PongSize fabricated dead addresses (no collusion);
+//   Bad        — PongSize fellow poisoners (collusion).
+//
+// Poisoners obey the `poison on|off` scenario toggle. The active attacks are
+// deployed and retired by `at T attack <kind> frac=F for D` windows, ignore
+// the toggle, and claim both NumFiles and NumRes:
 //
 //   eclipse    — colluders ping aggressively and answer every Ping/Probe
 //                with a full-width pong naming fellow colluders under
@@ -18,10 +28,9 @@
 //                never reply, burning the sender's timeout (and retries,
 //                under the lossy transport) per exchange.
 //
-// Cohorts are deployed and retired deterministically by FaultEngine via
-// `at T attack <kind> frac=F for D` scenario windows; the zoo itself is pure
-// bookkeeping + payload generation and draws randomness only from the RNG
-// the network passes in, so attack runs stay bitwise reproducible.
+// The zoo is pure bookkeeping + payload generation and draws randomness only
+// from the RNG the network passes in, so attack runs stay bitwise
+// reproducible.
 #pragma once
 
 #include <array>
@@ -39,15 +48,14 @@ namespace guess {
 
 class AdversaryZoo;
 
-/// One attack strategy. Stateless apart from a back-reference to the zoo
-/// (for rosters and the flood pool); per-member state lives in the network
-/// (timers) and the zoo (membership).
+/// One attack strategy. Stateless apart from back-references to the zoo (for
+/// parameters and the fabricated pools) and to its own roster; per-member
+/// state lives in the network (timers) and the zoo (membership).
 class AdversaryBehavior {
  public:
-  explicit AdversaryBehavior(const AdversaryZoo& zoo) : zoo_(zoo) {}
+  AdversaryBehavior(const AdversaryZoo& zoo, const std::vector<PeerId>& roster)
+      : zoo_(zoo), roster_(roster) {}
   virtual ~AdversaryBehavior() = default;
-
-  virtual faults::AttackKind kind() const = 0;
 
   /// Multiplier on the honest PingInterval for cohort members; < 1 means
   /// the attacker pings faster than honest peers.
@@ -68,8 +76,18 @@ class AdversaryBehavior {
                               sim::Time now, Rng& rng,
                               std::vector<CacheEntry>& out) const = 0;
 
+  /// The entry this member introduces itself with. By default it claims
+  /// both NumFiles and NumRes: the only advertising channel of a withholder
+  /// (which builds no pongs), and the bait that pulls MR-ranked probes in.
+  /// Never first-hand, so the first_hand_floor defense still holds.
+  virtual CacheEntry introduction_entry(PeerId self, sim::Time now) const {
+    return claim_entry(self, now);
+  }
+
  protected:
   const AdversaryZoo& zoo() const { return zoo_; }
+  /// Deployed members running this behavior, in swap-remove order.
+  const std::vector<PeerId>& roster() const { return roster_; }
 
   /// An entry with the top-of-distribution claims (§6.4's lie, reused by
   /// every behavior so trusting policies rank attack entries first).
@@ -77,21 +95,29 @@ class AdversaryBehavior {
 
  private:
   const AdversaryZoo& zoo_;
+  const std::vector<PeerId>& roster_;
 };
 
-/// Rosters of deployed adversaries (one per AttackKind, PoisonGenerator's
-/// swap-remove idiom) plus the behavior instances and the fabricated
-/// address pool backing pong-flood payloads.
+/// Every deployed attacker: one swap-remove roster per behavior (the four
+/// AttackKinds plus §6.4's poisoners), one membership index over all of
+/// them, the behavior instances, the poison toggle and the two fabricated
+/// address pools (Dead poison, pong-flood).
 class AdversaryZoo {
  public:
-  explicit AdversaryZoo(MaliciousParams params);
+  /// `poison` picks the pongs of §6.4's poisoners (SystemParams::
+  /// bad_pong_behavior).
+  AdversaryZoo(MaliciousParams params, BadPongBehavior poison);
   ~AdversaryZoo();
 
   AdversaryZoo(const AdversaryZoo&) = delete;
   AdversaryZoo& operator=(const AdversaryZoo&) = delete;
 
-  /// Fabricated dead addresses for pong-flood payloads (allocated by the
-  /// network from its id space so they can never collide with real peers).
+  /// Fabricated dead addresses for Dead poison and for pong-flood payloads
+  /// (allocated by the network from its id space so they can never collide
+  /// with real peers). Separate pools, so either attack's fabricated ids do
+  /// not depend on whether the other runs.
+  void set_dead_pool(std::vector<PeerId> pool);
+  const std::vector<PeerId>& dead_pool() const { return dead_pool_; }
   void set_flood_pool(std::vector<PeerId> pool);
   const std::vector<PeerId>& flood_pool() const { return flood_pool_; }
 
@@ -100,11 +126,19 @@ class AdversaryZoo {
   /// Membership bookkeeping. An id belongs to at most one roster; add
   /// checks freshness, remove checks membership (GUESS_CHECK).
   void add(faults::AttackKind kind, PeerId id);
+  void add_poisoner(PeerId id);
   void remove(PeerId id);
   bool contains(PeerId id) const { return index_.contains(id); }
   std::size_t size() const { return index_.size(); }
 
-  /// The deployed behavior of `id`, or nullptr if `id` is no adversary.
+  /// §6.4 onset toggle (`poison on|off`): while off, poisoners answer with
+  /// their real (empty) caches and honest introductions. Attack cohorts
+  /// ignore it.
+  void set_poisoning(bool active) { poisoning_active_ = active; }
+  bool poisoning_active() const { return poisoning_active_; }
+
+  /// The behavior `id` attacks with right now, or nullptr when it answers
+  /// honestly: not an attacker, or a poisoner while poisoning is off.
   const AdversaryBehavior* behavior_of(PeerId id) const;
 
   /// True iff `id` is a deployed reply-withholding adversary.
@@ -112,24 +146,29 @@ class AdversaryZoo {
 
   /// Deployed members of `kind`, in swap-remove order.
   const std::vector<PeerId>& roster(faults::AttackKind kind) const;
-
-  /// Dispatch to the member's behavior (GUESS_CHECKs membership).
-  void make_pong_into(PeerId self, std::size_t pong_size, sim::Time now,
-                      Rng& rng, std::vector<CacheEntry>& out) const;
+  /// Live poisoners, in swap-remove order.
+  const std::vector<PeerId>& poisoners() const { return rosters_[kPoison]; }
 
   const MaliciousParams& params() const { return params_; }
 
  private:
+  /// Roster slots: one per AttackKind, then the poisoners.
+  static constexpr std::size_t kPoison = faults::kNumAttackKinds;
+  static constexpr std::size_t kNumRosters = kPoison + 1;
+
   struct Membership {
-    faults::AttackKind kind;
-    std::size_t pos;  ///< index into rosters_[kind]
+    std::size_t roster;  ///< index into rosters_
+    std::size_t pos;     ///< index into rosters_[roster]
   };
 
+  void add_to(std::size_t roster, PeerId id);
+
   MaliciousParams params_;
-  std::array<std::unique_ptr<AdversaryBehavior>, faults::kNumAttackKinds>
-      behaviors_;
-  std::array<std::vector<PeerId>, faults::kNumAttackKinds> rosters_;
+  std::array<std::vector<PeerId>, kNumRosters> rosters_;
+  std::array<std::unique_ptr<AdversaryBehavior>, kNumRosters> behaviors_;
   std::unordered_map<PeerId, Membership> index_;
+  bool poisoning_active_ = true;
+  std::vector<PeerId> dead_pool_;
   std::vector<PeerId> flood_pool_;
 };
 

@@ -31,6 +31,14 @@ SearchBackendId parse_backend(const std::string& name) {
   return SearchBackendId::kGuess;
 }
 
+namespace {
+
+/// Upper bound on the attack multipliers (dead/flood pool size per peer,
+/// pong-flood amplification).
+constexpr double kMaxAttackFactor = 1000.0;
+
+}  // namespace
+
 const SimulationConfig& SimulationConfig::validate() const {
   // Non-finite doubles sail through every range check below (NaN compares
   // false against everything), so reject them by name first.
@@ -72,14 +80,17 @@ const SimulationConfig& SimulationConfig::validate() const {
   GUESS_CHECK_MSG(std::isfinite(options_.offered_qps),
                   "offered_qps must be finite");
   GUESS_CHECK_MSG(std::isfinite(options_.slo), "slo must be finite");
-  GUESS_CHECK_MSG(std::isfinite(options_.overload.target_failure_rate),
-                  "overload target_failure_rate must be finite");
-  GUESS_CHECK_MSG(std::isfinite(options_.overload.additive_increase),
-                  "overload additive_increase must be finite");
-  GUESS_CHECK_MSG(std::isfinite(options_.overload.multiplicative_decrease),
-                  "overload multiplicative_decrease must be finite");
-  GUESS_CHECK_MSG(std::isfinite(options_.overload.control_interval),
-                  "overload control_interval must be finite");
+  const MaliciousParams& malicious = options_.malicious;
+  GUESS_CHECK_MSG(std::isfinite(malicious.dead_pool_factor),
+                  "malicious dead_pool_factor must be finite");
+  GUESS_CHECK_MSG(std::isfinite(malicious.adversary.eclipse_ping_boost),
+                  "adversary eclipse_ping_boost must be finite");
+  GUESS_CHECK_MSG(std::isfinite(malicious.adversary.sybil_lifetime),
+                  "adversary sybil_lifetime must be finite");
+  GUESS_CHECK_MSG(std::isfinite(malicious.adversary.pong_flood_factor),
+                  "adversary pong_flood_factor must be finite");
+  GUESS_CHECK_MSG(std::isfinite(malicious.adversary.flood_pool_factor),
+                  "adversary flood_pool_factor must be finite");
   // System (Table 1).
   GUESS_CHECK_MSG(system_.network_size >= 2,
                   "network_size must be >= 2, got " << system_.network_size);
@@ -172,6 +183,35 @@ const SimulationConfig& SimulationConfig::validate() const {
                   "transport max_backoff must be > 0, got "
                       << transport_.max_backoff);
 
+  // Attackers (§6.4, DESIGN.md §11). The factors are cast to pool and pong
+  // sizes, so they must be non-negative and small enough that the product
+  // with NetworkSize or PongSize stays a sane allocation.
+  GUESS_CHECK_MSG(malicious.dead_pool_factor >= 0.0 &&
+                      malicious.dead_pool_factor <= kMaxAttackFactor,
+                  "malicious dead_pool_factor must be in [0, "
+                      << kMaxAttackFactor << "], got "
+                      << malicious.dead_pool_factor);
+  GUESS_CHECK_MSG(malicious.adversary.flood_pool_factor >= 0.0 &&
+                      malicious.adversary.flood_pool_factor <=
+                          kMaxAttackFactor,
+                  "adversary flood_pool_factor must be in [0, "
+                      << kMaxAttackFactor << "], got "
+                      << malicious.adversary.flood_pool_factor);
+  GUESS_CHECK_MSG(malicious.adversary.pong_flood_factor >= 0.0 &&
+                      malicious.adversary.pong_flood_factor <=
+                          kMaxAttackFactor,
+                  "adversary pong_flood_factor must be in [0, "
+                      << kMaxAttackFactor << "], got "
+                      << malicious.adversary.pong_flood_factor);
+  // Cohort members ping every ping_interval / eclipse_ping_boost seconds.
+  GUESS_CHECK_MSG(malicious.adversary.eclipse_ping_boost > 0.0,
+                  "adversary eclipse_ping_boost must be > 0, got "
+                      << malicious.adversary.eclipse_ping_boost);
+  // 0 = a sybil keeps its identity for the whole attack window.
+  GUESS_CHECK_MSG(malicious.adversary.sybil_lifetime >= 0.0,
+                  "adversary sybil_lifetime must be >= 0, got "
+                      << malicious.adversary.sybil_lifetime);
+
   // Run control.
   GUESS_CHECK_MSG(options_.warmup >= 0.0, "warmup must be >= 0");
   GUESS_CHECK_MSG(options_.measure >= 0.0, "measure must be >= 0");
@@ -207,22 +247,6 @@ const SimulationConfig& SimulationConfig::validate() const {
   GUESS_CHECK_MSG(ol.shed_watermark >= 1 &&
                       ol.shed_watermark <= ol.queue_capacity,
                   "overload shed_watermark must be in [1, queue_capacity]");
-  GUESS_CHECK_MSG(ol.target_failure_rate >= 0.0 &&
-                      ol.target_failure_rate <= 1.0,
-                  "overload target_failure_rate must be in [0, 1], got "
-                      << ol.target_failure_rate);
-  GUESS_CHECK_MSG(ol.additive_increase > 0.0,
-                  "overload additive_increase must be > 0");
-  GUESS_CHECK_MSG(ol.multiplicative_decrease > 0.0 &&
-                      ol.multiplicative_decrease < 1.0,
-                  "overload multiplicative_decrease must be in (0, 1), got "
-                      << ol.multiplicative_decrease);
-  GUESS_CHECK_MSG(ol.min_window >= 1 && ol.min_window <= ol.max_window,
-                  "overload windows must satisfy 1 <= min_window <= "
-                  "max_window");
-  GUESS_CHECK_MSG(ol.control_interval > 0.0,
-                  "overload control_interval must be > 0, got "
-                      << ol.control_interval);
 
   // Backend tuning blocks (only the selected backend reads its block, but
   // nonsense in any block is rejected up front — a config is one value).

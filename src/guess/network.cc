@@ -103,8 +103,7 @@ GuessNetwork::GuessNetwork(const SimulationConfig& config,
       query_stream_(content::BurstParams{system_.query_rate,
                                          system_.burst_min,
                                          system_.burst_max}),
-      poison_(config.malicious(), system_.bad_pong_behavior),
-      zoo_(config.malicious()) {
+      zoo_(config.malicious(), system_.bad_pong_behavior) {
   config.validate();
   churn_ = std::make_unique<churn::ChurnManager>(
       simulator_, churn::LifetimeDistribution(system_.lifespan_multiplier),
@@ -141,11 +140,11 @@ void GuessNetwork::initialize() {
   if (system_.bad_fraction() > 0.0 &&
       system_.bad_pong_behavior == BadPongBehavior::kDead) {
     auto pool_size = static_cast<std::size_t>(
-        poison_.params().dead_pool_factor *
+        zoo_.params().dead_pool_factor *
         static_cast<double>(system_.network_size));
     std::vector<PeerId> pool(pool_size);
     for (auto& id : pool) id = next_id_++;
-    poison_.set_dead_pool(std::move(pool));
+    zoo_.set_dead_pool(std::move(pool));
   }
 
   // Initial population: exactly the configured bad and selfish fractions,
@@ -188,7 +187,7 @@ PeerId GuessNetwork::spawn_peer(bool malicious, bool selfish, bool initial) {
     ref.cache().set_first_hand_floor(protocol_.detection.first_hand_floor);
   }
   ensure_slot_arrays();
-  if (malicious) poison_.add_bad_peer(id);
+  if (malicious) zoo_.add_poisoner(id);
   // A peer born during a partition lands on a random side of it.
   if (partition_ways_ > 0) {
     std::uint32_t slot = table_.slot_of(id);
@@ -300,23 +299,10 @@ void GuessNetwork::seed_initial_caches() {
 }
 
 CacheEntry GuessNetwork::introduction_entry(const Peer& peer) const {
-  // Zoo adversaries always lie about their library (the attack windows are
-  // independent of the §6.4 poison toggle); poison attackers lie only while
-  // poisoning is active.
-  std::uint32_t advertised = peer.num_files();
-  if (peer.malicious() && zoo_.contains(peer.id())) {
-    // The zoo also fabricates NumRes in its introductions — a withholder's
-    // only advertising channel (it builds no pongs), and the bait that
-    // pulls MR-ranked probes into its timeout trap. Never first-hand, so
-    // the first_hand_floor defense still holds.
-    return CacheEntry{peer.id(), simulator_.now(),
-                      poison_.params().claimed_num_files,
-                      poison_.params().claimed_num_res};
+  if (const AdversaryBehavior* attacker = attacker_of(peer)) {
+    return attacker->introduction_entry(peer.id(), simulator_.now());
   }
-  if (peer.malicious() && poisoning_active_) {
-    advertised = poison_.params().claimed_num_files;
-  }
-  return CacheEntry{peer.id(), simulator_.now(), advertised, 0};
+  return CacheEntry{peer.id(), simulator_.now(), peer.num_files(), 0};
 }
 
 void GuessNetwork::seed_from_friend(Peer& newborn) {
@@ -390,15 +376,8 @@ void GuessNetwork::remove_peer(PeerId id) {
   // the slot's next tenant is stamped at birth.
   release_active_query(table_.slot_of(id));
   flush_load(*peer);
-  // Adversary-zoo members are malicious but never entered the §6.4 poison
-  // roster; each registry removes only its own.
-  if (peer->malicious()) {
-    if (zoo_.contains(id)) {
-      zoo_.remove(id);
-    } else {
-      poison_.remove_bad_peer(id);
-    }
-  }
+  // Every malicious peer is a zoo member: a poisoner or a cohort member.
+  if (peer->malicious()) zoo_.remove(id);
   table_.destroy(id);
 }
 
@@ -484,14 +463,9 @@ void GuessNetwork::ping_resolved(PeerId pinger_id, PeerId target_id,
   target->cache().touch(pinger_id, simulator_.now());
   maybe_introduce(*target, *pinger);
 
-  if (target->malicious() && zoo_.contains(target_id)) {
-    // Zoo adversaries answer with their behavior's attack pong (attack
-    // windows are independent of the §6.4 poison toggle).
-    zoo_.make_pong_into(target_id, protocol_.pong_size, simulator_.now(),
-                        rng_, pong_scratch_);
-  } else if (target->malicious() && poisoning_active_) {
-    poison_.make_pong_into(target->id(), protocol_.pong_size,
-                           simulator_.now(), rng_, pong_scratch_);
+  if (const AdversaryBehavior* attacker = attacker_of(*target)) {
+    attacker->make_pong_into(target_id, protocol_.pong_size, simulator_.now(),
+                             rng_, pong_scratch_);
   } else {
     make_pong_into(*target, protocol_.ping_pong, pong_scratch_);
   }
@@ -880,12 +854,9 @@ void GuessNetwork::probe_resolved(PeerId origin_id, std::uint64_t token,
 
   // Every probed peer answers with a Pong (§2.3): entries feed the query
   // cache and, subject to CacheReplacement, the link cache.
-  if (target->malicious() && zoo_.contains(target_id)) {
-    zoo_.make_pong_into(target_id, protocol_.pong_size, simulator_.now(),
-                        rng_, pong_scratch_);
-  } else if (target->malicious() && poisoning_active_) {
-    poison_.make_pong_into(target_id, protocol_.pong_size, simulator_.now(),
-                           rng_, pong_scratch_);
+  if (const AdversaryBehavior* attacker = attacker_of(*target)) {
+    attacker->make_pong_into(target_id, protocol_.pong_size, simulator_.now(),
+                             rng_, pong_scratch_);
   } else {
     make_pong_into(*target, protocol_.query_pong, pong_scratch_);
   }
@@ -1088,7 +1059,7 @@ void GuessNetwork::fault_clear_degradation() {
 }
 
 void GuessNetwork::fault_set_poisoning(bool active) {
-  poisoning_active_ = active;
+  zoo_.set_poisoning(active);
   trace(TraceCategory::kFault, [&](std::ostream& os) {
     os << "poisoning " << (active ? "on" : "off");
   });
@@ -1100,7 +1071,7 @@ void GuessNetwork::fault_start_attack(faults::AttackKind kind,
                   "attack onset for an already-active "
                       << faults::attack_kind_name(kind) << " cohort");
   // Pong-flood ammunition: fabricated addresses that will never belong to a
-  // real peer, allocated once at first onset (mirrors the poison dead pool).
+  // real peer, allocated once at first onset (like the Dead-poison pool).
   if (kind == faults::AttackKind::kPongFlood && zoo_.flood_pool().empty()) {
     auto pool_size = static_cast<std::size_t>(
         zoo_.params().adversary.flood_pool_factor *

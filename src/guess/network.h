@@ -27,7 +27,6 @@
 #include "faults/fault_host.h"
 #include "guess/adversary.h"
 #include "guess/config.h"
-#include "guess/malicious.h"
 #include "guess/metrics.h"
 #include "guess/params.h"
 #include "guess/peer.h"
@@ -76,13 +75,14 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   void fault_set_degradation(double extra_loss,
                              double latency_factor) override;
   void fault_clear_degradation() override;
-  /// Toggle attacker pong poisoning. While off, malicious peers answer with
-  /// their real (empty) caches and honest introduction entries.
+  /// Toggle §6.4 pong poisoning. While off, poisoners answer with their
+  /// real (empty) caches and honest introduction entries; attack cohorts
+  /// are unaffected.
   void fault_set_poisoning(bool active) override;
   /// Deploy an adversary cohort of floor(fraction * alive) members (min 1)
   /// running `kind`'s behavior (DESIGN.md §11). Cohort members are not
   /// churn-registered — their lifetime is the attack window (sybils recycle
-  /// identities within it) — and they never enter the §6.4 poison roster.
+  /// identities within it) — and they never join the §6.4 poisoners.
   void fault_start_attack(faults::AttackKind kind, double fraction) override;
   /// Retire the whole cohort of `kind` without replacement births.
   void fault_stop_attack(faults::AttackKind kind) override;
@@ -130,8 +130,9 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   std::size_t alive_count() const { return table_.size(); }
   const std::vector<PeerId>& alive_ids() const { return table_.alive_ids(); }
   bool is_malicious(PeerId id) const;
-  bool poisoning_active() const { return poisoning_active_; }
-  /// True iff `id` is a deployed adversary-zoo member (tests).
+  bool poisoning_active() const { return zoo_.poisoning_active(); }
+  /// True iff `id` is a live attacker: a cohort member or a §6.4 poisoner
+  /// (tests).
   bool is_adversary(PeerId id) const { return zoo_.contains(id); }
   const AdversaryZoo& adversary_zoo() const { return zoo_; }
   /// Whole-run attack/defense counters (also snapshotted into results).
@@ -233,8 +234,8 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   PeerId spawn_adversary(faults::AttackKind kind);
   void sybil_expired(PeerId id);
   void on_peer_death(PeerId id);
-  /// Tear one peer out of the network (timers, queries, alive list, poison
-  /// registry) WITHOUT the replacement birth. The death path and the
+  /// Tear one peer out of the network (timers, queries, alive list, zoo
+  /// membership) WITHOUT the replacement birth. The death path and the
   /// fault-scenario mass kill share this.
   void remove_peer(PeerId id);
   void seed_initial_caches();
@@ -268,6 +269,11 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   void charge_no_reply(Peer& prober, PeerId target_id);
   void maybe_introduce(Peer& responder, const Peer& initiator);
   CacheEntry introduction_entry(const Peer& peer) const;
+  /// The behavior `peer` attacks with right now, or nullptr when it answers
+  /// honestly (AdversaryZoo::behavior_of; honest peers skip the lookup).
+  const AdversaryBehavior* attacker_of(const Peer& peer) const {
+    return peer.malicious() ? zoo_.behavior_of(peer.id()) : nullptr;
+  }
 
   // --- queries ---
   void start_next_query(Peer& origin);
@@ -310,7 +316,6 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
 
   content::ContentModel content_;
   content::QueryStream query_stream_;
-  PoisonGenerator poison_;
   AdversaryZoo zoo_;
   std::unique_ptr<churn::ChurnManager> churn_;
   std::unique_ptr<Transport> transport_;
@@ -346,7 +351,6 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   mutable AttackStats attack_stats_;
 
   // --- fault-scenario state (DESIGN.md §9) ---
-  bool poisoning_active_ = true;
   int partition_ways_ = 0;  ///< 0 = no partition active
   // Partition membership as per-slot arrays: an entry is valid only when
   // its stamp matches partition_epoch_, so clearing a partition (or letting

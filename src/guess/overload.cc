@@ -1,8 +1,5 @@
 #include "guess/overload.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.h"
 
 namespace guess {
@@ -12,7 +9,6 @@ const char* overload_policy_name(OverloadPolicy policy) {
     case OverloadPolicy::kNone: return "none";
     case OverloadPolicy::kAdmit: return "admit";
     case OverloadPolicy::kShed: return "shed";
-    case OverloadPolicy::kBackpressure: return "backpressure";
   }
   GUESS_CHECK_MSG(false, "unknown OverloadPolicy");
   return "?";
@@ -22,26 +18,21 @@ OverloadPolicy parse_overload_policy(const std::string& name) {
   if (name == "none") return OverloadPolicy::kNone;
   if (name == "admit") return OverloadPolicy::kAdmit;
   if (name == "shed") return OverloadPolicy::kShed;
-  if (name == "backpressure") return OverloadPolicy::kBackpressure;
-  GUESS_CHECK_MSG(false,
-                  "unknown overload policy '"
-                      << name
-                      << "' (expected none | admit | shed | backpressure)");
+  GUESS_CHECK_MSG(false, "unknown overload policy '"
+                             << name << "' (expected none | admit | shed)");
   return OverloadPolicy::kNone;
 }
 
 OverloadController::OverloadController(const OverloadParams& params)
     : params_(params) {
-  window_ = static_cast<double>(params_.max_in_flight);
-  if (params_.policy == OverloadPolicy::kShed ||
-      params_.policy == OverloadPolicy::kBackpressure) {
+  if (params_.policy == OverloadPolicy::kShed) {
     queue_.resize(params_.queue_capacity);
   }
 }
 
 bool OverloadController::has_slot() const {
   return params_.policy == OverloadPolicy::kNone ||
-         static_cast<double>(in_flight_) < window_;
+         in_flight_ < params_.max_in_flight;
 }
 
 void OverloadController::push_queue(sim::Time issue) {
@@ -98,14 +89,6 @@ AdmitDecision OverloadController::on_arrival(sim::Time now) {
       push_queue(now);
       decision.action = AdmitAction::kQueue;
       return decision;
-    case OverloadPolicy::kBackpressure:
-      if (queue_size_ >= queue_.size()) {
-        decision.action = AdmitAction::kReject;
-        return decision;
-      }
-      push_queue(now);
-      decision.action = AdmitAction::kQueue;
-      return decision;
   }
   GUESS_CHECK_MSG(false, "unknown OverloadPolicy");
   return decision;
@@ -127,26 +110,6 @@ bool OverloadController::drain_one(sim::Time* issue) {
   if (queue_size_ == 0) return false;
   *issue = pop_oldest();
   return true;
-}
-
-void OverloadController::tick(double failure_rate) {
-  if (params_.policy != OverloadPolicy::kBackpressure) return;
-  // Pressure signals: the transport is failing above target, or the
-  // controller queue is past half capacity (the system is falling seriously
-  // behind the window). Either one shrinks the window multiplicatively; a
-  // healthy tick grows it additively. The backlog threshold is half-full,
-  // not non-empty: under sustained open-loop load the queue is never empty,
-  // and treating any backlog as pressure pins the window at min_window
-  // permanently — all queueing delay, no throughput.
-  bool pressure = failure_rate > params_.target_failure_rate ||
-                  queue_size_ > queue_.size() / 2;
-  if (pressure) {
-    window_ *= params_.multiplicative_decrease;
-  } else {
-    window_ += params_.additive_increase;
-  }
-  window_ = std::clamp(window_, static_cast<double>(params_.min_window),
-                       static_cast<double>(params_.max_window));
 }
 
 }  // namespace guess

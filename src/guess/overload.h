@@ -3,7 +3,7 @@
 // Under closed-loop load the population self-limits: a slow system issues
 // its next query later. Under an open-loop arrival process (sim/arrival.h)
 // offered load is whatever the operator configured, so the run needs a
-// policy for the arrivals the system cannot absorb. Four are provided:
+// policy for the arrivals the system cannot absorb. Three are provided:
 //
 //   * none          — every arrival starts immediately. The baseline: past
 //                     saturation, per-origin pending queues grow without
@@ -16,13 +16,6 @@
 //                     the queue passes a depth watermark, entries are
 //                     dropped (oldest-first by default — the queries most
 //                     likely to already have blown their SLO).
-//   * backpressure  — adaptive AIMD window on query issue. The window grows
-//                     additively each control tick while the system looks
-//                     healthy and shrinks multiplicatively when the
-//                     observed transport failure rate (timeouts + failed
-//                     exchanges per message, from TransportCounters deltas)
-//                     exceeds its target or the queue passes half capacity;
-//                     arrivals beyond window + bounded queue are rejected.
 //
 // The controller is deterministic (pure arithmetic, no RNG) and
 // allocation-free after construction (a reserved ring buffer holds queued
@@ -44,10 +37,9 @@ enum class OverloadPolicy {
   kNone,
   kAdmit,
   kShed,
-  kBackpressure,
 };
 
-/// "none" / "admit" / "shed" / "backpressure".
+/// "none" / "admit" / "shed".
 const char* overload_policy_name(OverloadPolicy policy);
 
 /// Parse an --overload-policy= value; throws CheckError on unknown names.
@@ -57,12 +49,10 @@ OverloadPolicy parse_overload_policy(const std::string& name);
 struct OverloadParams {
   OverloadPolicy policy = OverloadPolicy::kNone;
 
-  /// In-flight query budget: admission limit for kAdmit/kShed, and the
-  /// AIMD window's initial value for kBackpressure.
+  /// In-flight query budget: admission limit for kAdmit/kShed.
   std::size_t max_in_flight = 64;
 
-  /// Hard bound on the controller queue (kShed/kBackpressure); arrivals
-  /// that find the queue full are rejected.
+  /// kShed: size of the controller queue (the ring buffer is reserved once).
   std::size_t queue_capacity = 256;
 
   /// kShed: queue depth beyond which entries are dropped.
@@ -71,14 +61,6 @@ struct OverloadParams {
   /// kShed: drop the oldest queued entry (true, default — it has waited
   /// longest and is most likely already past its SLO) or the newest.
   bool shed_oldest = true;
-
-  // --- kBackpressure (AIMD) ---
-  double target_failure_rate = 0.05;   ///< transport failures per message
-  double additive_increase = 4.0;      ///< window += per healthy tick
-  double multiplicative_decrease = 0.5;  ///< window *= on pressure
-  std::size_t min_window = 4;
-  std::size_t max_window = 1024;
-  sim::Duration control_interval = 10.0;  ///< seconds between AIMD ticks
 };
 
 /// Query-lifecycle callbacks a backend reports to its open-loop driver.
@@ -117,8 +99,8 @@ class OverloadController {
   explicit OverloadController(const OverloadParams& params);
 
   /// Decide one arrival at simulated time `now`. kStart already counts the
-  /// query in flight; after a kQueue decision (and after on_release/tick)
-  /// the caller pumps try_start() until it returns false.
+  /// query in flight; after a kQueue decision (and after on_release) the
+  /// caller pumps try_start() until it returns false.
   AdmitDecision on_arrival(sim::Time now);
 
   /// Start the oldest queued arrival if a slot is free: writes its original
@@ -129,20 +111,12 @@ class OverloadController {
   /// An in-flight query finished (completed or abandoned); frees its slot.
   void on_release();
 
-  /// kBackpressure: one AIMD control tick. `failure_rate` is the observed
-  /// transport failure fraction (timeouts + failed exchanges per sent
-  /// message) since the previous tick; ticks with no traffic pass 0.
-  void tick(double failure_rate);
-
   /// Drain the queue (end of run): pops every queued issue time, oldest
   /// first, without touching in-flight accounting.
   bool drain_one(sim::Time* issue);
 
   std::size_t in_flight() const { return in_flight_; }
   std::size_t queue_depth() const { return queue_size_; }
-  /// Current admission window (fixed for kAdmit/kShed; AIMD-adjusted for
-  /// kBackpressure; unbounded for kNone).
-  double window() const { return window_; }
 
  private:
   bool has_slot() const;
@@ -151,7 +125,6 @@ class OverloadController {
   sim::Time pop_newest();
 
   OverloadParams params_;
-  double window_ = 0.0;
   std::size_t in_flight_ = 0;
   // Ring buffer of queued issue times; reserved once, never reallocated.
   std::vector<sim::Time> queue_;

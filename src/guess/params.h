@@ -271,7 +271,12 @@ struct MaliciousParams {
   AdversaryParams adversary;
 };
 
+/// "Dead" / "Bad".
 std::string to_string(BadPongBehavior behavior);
+
+/// Parse a --bad-behavior= value ("Dead" or "Bad", case-sensitive); throws
+/// CheckError on anything else.
+BadPongBehavior parse_bad_pong_behavior(const std::string& name);
 
 /// One-line human-readable summaries used by bench headers.
 std::string describe(const SystemParams& params);

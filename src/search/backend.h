@@ -164,8 +164,9 @@ class SearchBackend : public faults::FaultHost {
   /// completion must not silently drop latency accounting.
   virtual void configure_open_loop(QueryObserver* observer);
 
-  /// Transport-level counters observed so far (AIMD backpressure feedback);
-  /// backends without a transport report zeros.
+  /// Live whole-run transport counters (SearchResults carries the
+  /// measurement window's); backends without a transport report zeros.
+  /// No driver consumes them; decorating backends forward them.
   virtual TransportCounters transport_counters() const { return {}; }
 
   /// Visit the external issue time of every query currently open (active

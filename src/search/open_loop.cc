@@ -25,12 +25,10 @@ OpenLoopDriver::OpenLoopDriver(const SimulationConfig& config,
                 config.options().offered_qps,
                 Rng(config.seed() ^ kArrivalSeedSalt)),
       workload_rng_(config.seed() ^ kWorkloadSeedSalt),
-      policy_(config.options().overload.policy),
       slo_(config.options().slo),
-      control_interval_(config.options().overload.control_interval),
       interval_width_(config.options().metrics_interval) {
   stats_.open_loop = true;
-  stats_.policy = policy_;
+  stats_.policy = config.options().overload.policy;
   stats_.offered_qps = config.options().offered_qps;
   stats_.slo = slo_;
 }
@@ -38,10 +36,6 @@ OpenLoopDriver::OpenLoopDriver(const SimulationConfig& config,
 void OpenLoopDriver::start() {
   backend_.configure_open_loop(this);
   arrivals_.start([this] { on_arrival(); });
-  if (policy_ == OverloadPolicy::kBackpressure) {
-    simulator_.every(control_interval_, control_interval_,
-                     ControlTickFired{this});
-  }
 }
 
 void OpenLoopDriver::begin_measurement() { measuring_ = true; }
@@ -114,19 +108,6 @@ void OpenLoopDriver::on_query_abandoned(double age) {
   static_assert(sim::EventQueue::Callback::stores_inline<PumpFired>(),
                 "pump thunk must not allocate");
   simulator_.after(0.0, PumpFired{this});
-}
-
-void OpenLoopDriver::control_tick() {
-  TransportCounters current = backend_.transport_counters();
-  TransportCounters delta = current - last_transport_;
-  last_transport_ = current;
-  double failure_rate =
-      delta.messages_sent == 0
-          ? 0.0
-          : static_cast<double>(delta.timeouts + delta.exchanges_failed) /
-                static_cast<double>(delta.messages_sent);
-  controller_.tick(failure_rate);
-  pump();
 }
 
 void OpenLoopDriver::sample_interval() {

@@ -8,7 +8,7 @@
 //   * runs a sim::ArrivalProcess at offered_qps on dedicated RNG streams
 //     (seed ^ salt), so attaching it never perturbs the backend's draws;
 //   * gates every arrival through an OverloadController (none / admit /
-//     shed / backpressure) and starts admitted queries via
+//     shed) and starts admitted queries via
 //     SearchBackend::start_query with their original arrival instant — a
 //     query's measured latency includes any time it spent queued;
 //   * accounts latency (LogHistogram), SLO conformance, goodput, rejects,
@@ -43,8 +43,7 @@ class OpenLoopDriver final : public QueryObserver {
                  SearchBackend& backend);
 
   /// Configure the backend for open-loop operation and schedule the arrival
-  /// process (and, for kBackpressure, the AIMD control tick). Call once,
-  /// after bootstrap() and before any events run.
+  /// process. Call once, after bootstrap() and before any events run.
   void start();
 
   /// Start the measurement window (run_search calls this right after the
@@ -70,10 +69,6 @@ class OpenLoopDriver final : public QueryObserver {
     OpenLoopDriver* driver;
     void operator()() const { driver->pump(); }
   };
-  struct ControlTickFired {
-    OpenLoopDriver* driver;
-    void operator()() const { driver->control_tick(); }
-  };
 
   void on_arrival();
   /// Start queued arrivals while the controller grants slots. Re-entrancy
@@ -81,21 +76,17 @@ class OpenLoopDriver final : public QueryObserver {
   /// which calls back into on_query_complete -> pump.
   void pump();
   void launch(sim::Time issued);
-  void control_tick();
 
   sim::Simulator& simulator_;
   SearchBackend& backend_;
   OverloadController controller_;
   sim::ArrivalProcess arrivals_;
   Rng workload_rng_;
-  OverloadPolicy policy_;
   double slo_;
-  sim::Duration control_interval_;
 
   bool measuring_ = false;
   bool pumping_ = false;
   OverloadStats stats_;
-  TransportCounters last_transport_;
 
   // Per-interval accumulators (run from t=0, like the backend's own
   // interval series — recovery analysis needs pre-fault baselines).

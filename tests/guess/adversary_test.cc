@@ -1,12 +1,14 @@
 // The adversary zoo (DESIGN.md §11): roster bookkeeping, the shape of each
-// behavior's attack pong, the network-level deploy/retire hooks behind
-// `at T attack <kind> frac=F for D`, and end-to-end scenario runs for all
-// four attacks — including the hardened-detection counters they trigger.
+// behavior's attack pong (§6.4 poison included), the poison toggle, the
+// network-level deploy/retire hooks behind `at T attack <kind> frac=F for D`,
+// and end-to-end scenario runs for all four attacks — including the
+// hardened-detection counters they trigger.
 #include "guess/adversary.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "common/check.h"
@@ -45,10 +47,19 @@ SimulationConfig attack_ready(SystemParams system) {
       faults::Scenario::parse("at 1e9 poison on"));
 }
 
+/// The attack pong `self` answers a Ping/Probe with (`self` must be
+/// attacking).
+void attack_pong(const AdversaryZoo& zoo, PeerId self, std::size_t pong_size,
+                 sim::Time now, Rng& rng, std::vector<CacheEntry>& out) {
+  const AdversaryBehavior* behavior = zoo.behavior_of(self);
+  ASSERT_NE(behavior, nullptr);
+  behavior->make_pong_into(self, pong_size, now, rng, out);
+}
+
 // --- zoo bookkeeping ------------------------------------------------------
 
 TEST(AdversaryZoo, RosterAddRemoveSwapKeepsMembershipConsistent) {
-  AdversaryZoo zoo{MaliciousParams{}};
+  AdversaryZoo zoo{MaliciousParams{}, BadPongBehavior::kDead};
   EXPECT_EQ(zoo.size(), 0u);
   EXPECT_FALSE(zoo.contains(1));
   EXPECT_EQ(zoo.behavior_of(1), nullptr);
@@ -81,7 +92,7 @@ TEST(AdversaryZoo, RosterAddRemoveSwapKeepsMembershipConsistent) {
 }
 
 TEST(AdversaryZoo, WithholdsOnlyForDeployedWithholders) {
-  AdversaryZoo zoo{MaliciousParams{}};
+  AdversaryZoo zoo{MaliciousParams{}, BadPongBehavior::kDead};
   zoo.add(AttackKind::kWithhold, 7);
   zoo.add(AttackKind::kEclipse, 8);
   EXPECT_TRUE(zoo.withholds(7));
@@ -95,9 +106,8 @@ TEST(AdversaryZoo, WithholdsOnlyForDeployedWithholders) {
 
 TEST(AdversaryBehavior, EclipseAdvertisesFellowColludersUnderTopClaims) {
   MaliciousParams params;
-  AdversaryZoo zoo{params};
+  AdversaryZoo zoo{params, BadPongBehavior::kDead};
   const AdversaryBehavior& eclipse = zoo.behavior(AttackKind::kEclipse);
-  EXPECT_EQ(eclipse.kind(), AttackKind::kEclipse);
   EXPECT_DOUBLE_EQ(eclipse.ping_interval_factor(),
                    1.0 / params.adversary.eclipse_ping_boost);
   EXPECT_FALSE(eclipse.withholds_replies());
@@ -108,12 +118,12 @@ TEST(AdversaryBehavior, EclipseAdvertisesFellowColludersUnderTopClaims) {
   std::vector<CacheEntry> pong;
 
   // A lone colluder has nobody to advertise.
-  zoo.make_pong_into(10, 5, 100.0, rng, pong);
+  attack_pong(zoo, 10, 5, 100.0, rng, pong);
   EXPECT_TRUE(pong.empty());
 
   zoo.add(AttackKind::kEclipse, 11);
   zoo.add(AttackKind::kEclipse, 12);
-  zoo.make_pong_into(10, 5, 100.0, rng, pong);
+  attack_pong(zoo, 10, 5, 100.0, rng, pong);
   ASSERT_EQ(pong.size(), 5u);
   for (const CacheEntry& entry : pong) {
     EXPECT_NE(entry.id, 10u);  // never names itself
@@ -128,7 +138,7 @@ TEST(AdversaryBehavior, EclipseAdvertisesFellowColludersUnderTopClaims) {
 TEST(AdversaryBehavior, SybilSharesColludingPongAndCarriesLifetime) {
   MaliciousParams params;
   params.adversary.sybil_lifetime = 45.0;
-  AdversaryZoo zoo{params};
+  AdversaryZoo zoo{params, BadPongBehavior::kDead};
   const AdversaryBehavior& sybil = zoo.behavior(AttackKind::kSybil);
   EXPECT_DOUBLE_EQ(sybil.identity_lifetime(), 45.0);
   EXPECT_DOUBLE_EQ(sybil.ping_interval_factor(), 1.0);
@@ -137,7 +147,7 @@ TEST(AdversaryBehavior, SybilSharesColludingPongAndCarriesLifetime) {
   zoo.add(AttackKind::kSybil, 21);
   Rng rng(6);
   std::vector<CacheEntry> pong;
-  zoo.make_pong_into(20, 3, 7.0, rng, pong);
+  attack_pong(zoo, 20, 3, 7.0, rng, pong);
   ASSERT_EQ(pong.size(), 3u);
   for (const CacheEntry& entry : pong) EXPECT_EQ(entry.id, 21u);
 }
@@ -145,17 +155,17 @@ TEST(AdversaryBehavior, SybilSharesColludingPongAndCarriesLifetime) {
 TEST(AdversaryBehavior, PongFloodOversizesFromTheFabricatedPool) {
   MaliciousParams params;
   params.adversary.pong_flood_factor = 4.0;
-  AdversaryZoo zoo{params};
+  AdversaryZoo zoo{params, BadPongBehavior::kDead};
   zoo.add(AttackKind::kPongFlood, 30);
   Rng rng(8);
   std::vector<CacheEntry> pong;
 
   // No pool yet: nothing to fabricate from.
-  zoo.make_pong_into(30, 5, 1.0, rng, pong);
+  attack_pong(zoo, 30, 5, 1.0, rng, pong);
   EXPECT_TRUE(pong.empty());
 
   zoo.set_flood_pool({1000, 1001, 1002});
-  zoo.make_pong_into(30, 5, 1.0, rng, pong);
+  attack_pong(zoo, 30, 5, 1.0, rng, pong);
   ASSERT_EQ(pong.size(), 20u);  // 4x PongSize
   for (const CacheEntry& entry : pong) {
     EXPECT_GE(entry.id, 1000u);
@@ -166,14 +176,203 @@ TEST(AdversaryBehavior, PongFloodOversizesFromTheFabricatedPool) {
 }
 
 TEST(AdversaryBehavior, WithholdSwallowsRepliesAndBuildsNoPong) {
-  AdversaryZoo zoo{MaliciousParams{}};
+  AdversaryZoo zoo{MaliciousParams{}, BadPongBehavior::kDead};
   const AdversaryBehavior& withhold = zoo.behavior(AttackKind::kWithhold);
   EXPECT_TRUE(withhold.withholds_replies());
   zoo.add(AttackKind::kWithhold, 40);
   Rng rng(9);
   std::vector<CacheEntry> pong = {CacheEntry{1, 0.0, 1, 1}};
-  zoo.make_pong_into(40, 5, 1.0, rng, pong);
+  attack_pong(zoo, 40, 5, 1.0, rng, pong);
   EXPECT_TRUE(pong.empty());
+}
+
+// --- §6.4 poisoners --------------------------------------------------------
+
+MaliciousParams poison_params() {
+  MaliciousParams p;
+  p.claimed_num_files = 5000;
+  p.claimed_num_res = 20;
+  return p;
+}
+
+std::vector<CacheEntry> poison_pong(const AdversaryZoo& zoo, PeerId self,
+                                    std::size_t pong_size, sim::Time now,
+                                    Rng& rng) {
+  std::vector<CacheEntry> pong;
+  attack_pong(zoo, self, pong_size, now, rng, pong);
+  return pong;
+}
+
+TEST(Poison, DeadBehaviorDrawsFromPool) {
+  AdversaryZoo zoo{poison_params(), BadPongBehavior::kDead};
+  zoo.set_dead_pool({100, 101, 102});
+  zoo.add_poisoner(1);
+  Rng rng(1);
+  auto pong = poison_pong(zoo, 1, 5, 42.0, rng);
+  ASSERT_EQ(pong.size(), 5u);
+  for (const auto& e : pong) {
+    EXPECT_GE(e.id, 100u);
+    EXPECT_LE(e.id, 102u);
+    EXPECT_DOUBLE_EQ(e.ts, 42.0);
+    EXPECT_EQ(e.num_files, 5000u);
+    EXPECT_EQ(e.num_res, 20u);
+  }
+}
+
+TEST(Poison, DeadBehaviorWithoutPoolIsEmpty) {
+  AdversaryZoo zoo{poison_params(), BadPongBehavior::kDead};
+  zoo.add_poisoner(1);
+  Rng rng(1);
+  EXPECT_TRUE(poison_pong(zoo, 1, 5, 0.0, rng).empty());
+}
+
+// Dead poison and pong-flood draw from separate pools.
+TEST(Poison, DeadPoolIsNotTheFloodPool) {
+  AdversaryZoo zoo{poison_params(), BadPongBehavior::kDead};
+  zoo.set_flood_pool({900});
+  zoo.add_poisoner(1);
+  Rng rng(1);
+  EXPECT_TRUE(poison_pong(zoo, 1, 5, 0.0, rng).empty());
+}
+
+TEST(Poison, CollusionNamesOtherAttackers) {
+  AdversaryZoo zoo{poison_params(), BadPongBehavior::kBad};
+  zoo.add_poisoner(1);
+  zoo.add_poisoner(2);
+  zoo.add_poisoner(3);
+  // Cohort members are not fellow poisoners.
+  zoo.add(AttackKind::kEclipse, 4);
+  Rng rng(1);
+  for (int round = 0; round < 50; ++round) {
+    auto pong = poison_pong(zoo, 1, 5, 0.0, rng);
+    ASSERT_EQ(pong.size(), 5u);
+    for (const auto& e : pong) {
+      EXPECT_NE(e.id, 1u);  // never advertises itself
+      EXPECT_TRUE(e.id == 2 || e.id == 3);
+      EXPECT_EQ(e.num_files, 5000u);
+    }
+  }
+}
+
+TEST(Poison, LoneColluderHasNothingToSay) {
+  AdversaryZoo zoo{poison_params(), BadPongBehavior::kBad};
+  zoo.add_poisoner(1);
+  Rng rng(1);
+  EXPECT_TRUE(poison_pong(zoo, 1, 5, 0.0, rng).empty());
+}
+
+TEST(Poison, BadPeerSetMaintainedThroughChurn) {
+  AdversaryZoo zoo{poison_params(), BadPongBehavior::kBad};
+  zoo.add_poisoner(1);
+  zoo.add_poisoner(2);
+  zoo.add_poisoner(3);
+  EXPECT_EQ(zoo.poisoners().size(), 3u);
+  zoo.remove(2);
+  EXPECT_EQ(zoo.poisoners().size(), 2u);
+  zoo.add_poisoner(4);
+  Rng rng(1);
+  std::set<PeerId> advertised;
+  for (int round = 0; round < 100; ++round) {
+    for (const auto& e : poison_pong(zoo, 1, 5, 0.0, rng)) {
+      advertised.insert(e.id);
+    }
+  }
+  EXPECT_EQ(advertised, (std::set<PeerId>{3, 4}));
+}
+
+// Model-based churn fuzz of the swap-remove bookkeeping, with poisoners and
+// an eclipse cohort sharing the one membership index: add/remove in random
+// interleavings must keep each roster an exact (unordered) mirror of its
+// reference set, with no duplicates and no stale survivors. A bug in the
+// index maintenance (e.g. not re-indexing the swapped-in tail element)
+// shows up as a removal deleting the wrong peer or crossing rosters.
+TEST(Poison, SwapRemoveBookkeepingConsistentUnderChurnInterleavings) {
+  AdversaryZoo zoo{poison_params(), BadPongBehavior::kBad};
+  Rng rng(12345);
+  std::set<PeerId> poisoners;
+  std::set<PeerId> cohort;
+  PeerId next_id = 0;
+
+  for (int step = 0; step < 5000; ++step) {
+    std::size_t members = poisoners.size() + cohort.size();
+    // Bias toward adds while small, removes while large, so the rosters
+    // keep crossing the interesting sizes (empty, one, many).
+    bool add = members == 0 || rng.bernoulli(members < 20 ? 0.7 : 0.3);
+    if (add) {
+      PeerId id = next_id++;
+      if (rng.bernoulli(0.75)) {
+        zoo.add_poisoner(id);
+        poisoners.insert(id);
+      } else {
+        zoo.add(AttackKind::kEclipse, id);
+        cohort.insert(id);
+      }
+    } else {
+      // Remove a uniformly random current member — tail, head, middle.
+      std::size_t pick = rng.index(members);
+      std::set<PeerId>& from = pick < poisoners.size() ? poisoners : cohort;
+      if (pick >= poisoners.size()) pick -= poisoners.size();
+      auto it = from.begin();
+      std::advance(it, static_cast<long>(pick));
+      zoo.remove(*it);
+      from.erase(it);
+    }
+    ASSERT_EQ(zoo.size(), poisoners.size() + cohort.size());
+    std::set<PeerId> tracked(zoo.poisoners().begin(), zoo.poisoners().end());
+    ASSERT_EQ(tracked.size(), zoo.poisoners().size());  // no duplicates
+    ASSERT_EQ(tracked, poisoners);
+    const std::vector<PeerId>& eclipse = zoo.roster(AttackKind::kEclipse);
+    ASSERT_EQ(std::set<PeerId>(eclipse.begin(), eclipse.end()), cohort);
+  }
+
+  // After all that churn the zoo still functions: poison pongs only ever
+  // name current poisoners.
+  if (poisoners.size() < 2) {
+    zoo.add_poisoner(next_id);
+    poisoners.insert(next_id++);
+  }
+  PeerId self = *poisoners.begin();
+  for (int round = 0; round < 50; ++round) {
+    for (const auto& e : poison_pong(zoo, self, 5, 0.0, rng)) {
+      EXPECT_TRUE(poisoners.contains(e.id));
+      EXPECT_NE(e.id, self);
+    }
+  }
+}
+
+TEST(Poison, DoubleAddOrBadRemoveThrows) {
+  AdversaryZoo zoo{poison_params(), BadPongBehavior::kBad};
+  zoo.add_poisoner(1);
+  EXPECT_THROW(zoo.add_poisoner(1), CheckError);
+  EXPECT_THROW(zoo.add(AttackKind::kEclipse, 1), CheckError);  // one index
+  EXPECT_THROW(zoo.remove(9), CheckError);
+}
+
+// The toggle silences poisoners only; cohorts attack regardless. Poisoners
+// lie about NumFiles in introductions, cohort members about NumRes too.
+TEST(Poison, ToggleSilencesPoisonersButNotCohorts) {
+  AdversaryZoo zoo{poison_params(), BadPongBehavior::kBad};
+  zoo.add_poisoner(1);
+  zoo.add(AttackKind::kEclipse, 2);
+  ASSERT_NE(zoo.behavior_of(1), nullptr);
+  CacheEntry poisoner = zoo.behavior_of(1)->introduction_entry(1, 3.0);
+  EXPECT_EQ(poisoner.id, 1u);
+  EXPECT_DOUBLE_EQ(poisoner.ts, 3.0);
+  EXPECT_EQ(poisoner.num_files, 5000u);
+  EXPECT_EQ(poisoner.num_res, 0u);
+  EXPECT_FALSE(poisoner.first_hand);
+  CacheEntry colluder = zoo.behavior_of(2)->introduction_entry(2, 3.0);
+  EXPECT_EQ(colluder.num_files, 5000u);
+  EXPECT_EQ(colluder.num_res, 20u);
+
+  zoo.set_poisoning(false);
+  EXPECT_FALSE(zoo.poisoning_active());
+  EXPECT_EQ(zoo.behavior_of(1), nullptr);
+  EXPECT_TRUE(zoo.contains(1));  // still a member, just honest for now
+  EXPECT_NE(zoo.behavior_of(2), nullptr);
+
+  zoo.set_poisoning(true);
+  EXPECT_NE(zoo.behavior_of(1), nullptr);
 }
 
 // --- network deploy/retire hooks ------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "common/check.h"
 #include "guess/config.h"
@@ -60,6 +61,94 @@ TEST(ConfigValidate, SystemBounds) {
                  s.burst_max = 2;
                }).validate(),
                CheckError);
+}
+
+// --- MaliciousParams / AdversaryParams (§6.4, DESIGN.md §11) ---
+
+/// A config whose attacker block is `mutate`d from the defaults.
+template <typename Mutate>
+SimulationConfig with_malicious(Mutate mutate) {
+  MaliciousParams malicious;
+  mutate(malicious);
+  return SimulationConfig().malicious(malicious);
+}
+
+/// validate() throws a CheckError naming `field`.
+template <typename Mutate>
+void expect_rejected(const char* field, Mutate mutate) {
+  try {
+    with_malicious(mutate).validate();
+    ADD_FAILURE() << field << " accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+// The pool factors are cast to a pool size: NaN or a negative value there is
+// undefined behavior, a huge one an absurd allocation.
+TEST(ConfigValidate, DeadPoolFactorBounds) {
+  for (double bad : {kNaN, kInf, -1.0, 1e9}) {
+    expect_rejected("dead_pool_factor",
+                    [bad](MaliciousParams& m) { m.dead_pool_factor = bad; });
+  }
+  for (double ok : {0.0, 10.0, 1000.0}) {
+    EXPECT_NO_THROW(with_malicious([ok](MaliciousParams& m) {
+                      m.dead_pool_factor = ok;
+                    }).validate());
+  }
+}
+
+TEST(ConfigValidate, FloodPoolFactorBounds) {
+  for (double bad : {kNaN, kInf, -0.5, 1e9}) {
+    expect_rejected("flood_pool_factor", [bad](MaliciousParams& m) {
+      m.adversary.flood_pool_factor = bad;
+    });
+  }
+  for (double ok : {0.0, 4.0, 1000.0}) {
+    EXPECT_NO_THROW(with_malicious([ok](MaliciousParams& m) {
+                      m.adversary.flood_pool_factor = ok;
+                    }).validate());
+  }
+}
+
+// Cast to a pong length.
+TEST(ConfigValidate, PongFloodFactorBounds) {
+  for (double bad : {kNaN, -kInf, -2.0, 1e9}) {
+    expect_rejected("pong_flood_factor", [bad](MaliciousParams& m) {
+      m.adversary.pong_flood_factor = bad;
+    });
+  }
+  for (double ok : {0.0, 8.0, 1000.0}) {
+    EXPECT_NO_THROW(with_malicious([ok](MaliciousParams& m) {
+                      m.adversary.pong_flood_factor = ok;
+                    }).validate());
+  }
+}
+
+// Cohort ping interval = ping_interval / boost: 0 gives an infinite interval,
+// a negative boost a negative one.
+TEST(ConfigValidate, EclipsePingBoostBounds) {
+  for (double bad : {kNaN, kInf, 0.0, -8.0}) {
+    expect_rejected("eclipse_ping_boost", [bad](MaliciousParams& m) {
+      m.adversary.eclipse_ping_boost = bad;
+    });
+  }
+  EXPECT_NO_THROW(with_malicious([](MaliciousParams& m) {
+                    m.adversary.eclipse_ping_boost = 0.5;
+                  }).validate());
+}
+
+// 0 keeps each sybil identity for the whole window; negative is nonsense.
+TEST(ConfigValidate, SybilLifetimeBounds) {
+  for (double bad : {kNaN, kInf, -30.0}) {
+    expect_rejected("sybil_lifetime", [bad](MaliciousParams& m) {
+      m.adversary.sybil_lifetime = bad;
+    });
+  }
+  EXPECT_NO_THROW(with_malicious([](MaliciousParams& m) {
+                    m.adversary.sybil_lifetime = 0.0;
+                  }).validate());
 }
 
 // --- ContentParams (DESIGN.md substitutions #2 and #3) ---
@@ -253,42 +342,11 @@ TEST(ConfigValidate, OverloadParamBounds) {
                  o.shed_watermark = 9;  // > queue_capacity
                }).validate(),
                CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.target_failure_rate = 1.5; }).validate(),
-      CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.target_failure_rate = kNaN; }).validate(),
-      CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.additive_increase = 0.0; }).validate(),
-      CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.additive_increase = kNaN; }).validate(),
-      CheckError);
-  EXPECT_THROW(with([](OverloadParams& o) {
-                 o.multiplicative_decrease = 1.0;  // must shrink
-               }).validate(),
-               CheckError);
-  EXPECT_THROW(with([](OverloadParams& o) {
-                 o.multiplicative_decrease = 0.0;
-               }).validate(),
-               CheckError);
-  EXPECT_THROW(with([](OverloadParams& o) { o.min_window = 0; }).validate(),
-               CheckError);
-  EXPECT_THROW(with([](OverloadParams& o) {
-                 o.min_window = 64;
-                 o.max_window = 32;
-               }).validate(),
-               CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.control_interval = 0.0; }).validate(),
-      CheckError);
-  EXPECT_THROW(
-      with([](OverloadParams& o) { o.control_interval = kNaN; }).validate(),
-      CheckError);
-  EXPECT_NO_THROW(with([](OverloadParams& o) {
-                    o.policy = OverloadPolicy::kBackpressure;
-                  }).validate());
+  for (OverloadPolicy policy :
+       {OverloadPolicy::kNone, OverloadPolicy::kAdmit, OverloadPolicy::kShed}) {
+    EXPECT_NO_THROW(
+        with([policy](OverloadParams& o) { o.policy = policy; }).validate());
+  }
 }
 
 // --- Backend tuning blocks ---

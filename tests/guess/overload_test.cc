@@ -1,8 +1,10 @@
 // OverloadController unit tests: admission windows, shedding watermarks,
-// AIMD dynamics, and the pump/drain protocol (DESIGN.md §13.3).
+// and the pump/drain protocol (DESIGN.md §13.3).
 #include "guess/overload.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "common/check.h"
 
@@ -20,12 +22,24 @@ OverloadParams params_for(OverloadPolicy policy) {
 
 TEST(OverloadPolicyNames, RoundTrip) {
   for (OverloadPolicy policy :
-       {OverloadPolicy::kNone, OverloadPolicy::kAdmit, OverloadPolicy::kShed,
-        OverloadPolicy::kBackpressure}) {
+       {OverloadPolicy::kNone, OverloadPolicy::kAdmit, OverloadPolicy::kShed}) {
     EXPECT_EQ(parse_overload_policy(overload_policy_name(policy)), policy);
   }
   EXPECT_THROW(parse_overload_policy("drop"), CheckError);
   EXPECT_THROW(parse_overload_policy(""), CheckError);
+}
+
+// "backpressure" is rejected like any unknown name, and the message lists
+// the valid ones.
+TEST(OverloadPolicyNames, BackpressureIsRejectedWithTheRemainingPolicies) {
+  try {
+    parse_overload_policy("backpressure");
+    FAIL() << "backpressure parsed";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("none | admit | shed)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(OverloadController, NoneAdmitsEverythingImmediately) {
@@ -120,94 +134,6 @@ TEST(OverloadController, ArrivalsNeverOvertakeTheQueue) {
   sim::Time issue = -1.0;
   EXPECT_TRUE(c.try_start(&issue));
   EXPECT_DOUBLE_EQ(issue, 2.0);
-}
-
-TEST(OverloadController, BackpressureQueuesThenRejectsAtCapacity) {
-  OverloadParams p = params_for(OverloadPolicy::kBackpressure);
-  OverloadController c(p);
-  c.on_arrival(0.0);
-  c.on_arrival(1.0);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(c.on_arrival(2.0 + i).action, AdmitAction::kQueue);
-  }
-  EXPECT_EQ(c.queue_depth(), 4u);
-  EXPECT_EQ(c.on_arrival(6.0).action, AdmitAction::kReject);
-}
-
-TEST(OverloadController, AimdGrowsOnHealthShrinksOnFailures) {
-  OverloadParams p = params_for(OverloadPolicy::kBackpressure);
-  p.max_in_flight = 8;
-  p.min_window = 2;
-  p.max_window = 16;
-  p.additive_increase = 4.0;
-  p.multiplicative_decrease = 0.5;
-  p.target_failure_rate = 0.05;
-  OverloadController c(p);
-  EXPECT_DOUBLE_EQ(c.window(), 8.0);
-
-  c.tick(0.0);  // healthy: additive increase
-  EXPECT_DOUBLE_EQ(c.window(), 12.0);
-  c.tick(0.01);  // under target: still healthy
-  EXPECT_DOUBLE_EQ(c.window(), 16.0);
-  c.tick(0.0);  // clamped at max_window
-  EXPECT_DOUBLE_EQ(c.window(), 16.0);
-
-  c.tick(0.5);  // failing: multiplicative decrease
-  EXPECT_DOUBLE_EQ(c.window(), 8.0);
-  c.tick(0.5);
-  c.tick(0.5);
-  c.tick(0.5);
-  EXPECT_DOUBLE_EQ(c.window(), 2.0);  // clamped at min_window
-}
-
-TEST(OverloadController, AimdTreatsDeepBacklogAsPressureButNotAShallowOne) {
-  OverloadParams p = params_for(OverloadPolicy::kBackpressure);
-  p.min_window = 1;
-  p.queue_capacity = 4;
-  OverloadController c(p);
-  c.on_arrival(0.0);
-  c.on_arrival(1.0);
-  c.on_arrival(2.0);  // queue depth 1: under open-loop load the queue is
-  c.on_arrival(3.0);  // depth 2 = half capacity: still not pressure
-  double before = c.window();
-  c.tick(0.0);  // rarely empty; a shallow backlog must not shrink the window
-  EXPECT_GT(c.window(), before);
-  c.on_arrival(4.0);  // depth 3 > capacity/2: now it is pressure
-  before = c.window();
-  c.tick(0.0);
-  EXPECT_LT(c.window(), before);
-}
-
-TEST(OverloadController, AimdShrunkWindowStillDrainsWaitersOnRelease) {
-  OverloadParams p = params_for(OverloadPolicy::kBackpressure);
-  p.max_in_flight = 4;
-  p.min_window = 1;
-  OverloadController c(p);
-  c.on_arrival(0.0);
-  c.on_arrival(1.0);
-  c.on_arrival(2.0);
-  c.on_arrival(3.0);
-  c.on_arrival(4.0);  // queued
-  sim::Time issue = -1.0;
-  EXPECT_FALSE(c.try_start(&issue));  // window 4, all slots busy
-  c.tick(0.5);                        // pressure: window 4 -> 2
-  EXPECT_DOUBLE_EQ(c.window(), 2.0);
-  c.on_release();  // in_flight 3 > window 2: still no admission
-  EXPECT_FALSE(c.try_start(&issue));
-  c.on_release();
-  c.on_release();  // in_flight 1 < window 2: waiter admitted
-  EXPECT_TRUE(c.try_start(&issue));
-  EXPECT_DOUBLE_EQ(issue, 4.0);
-}
-
-TEST(OverloadController, TickIsANoOpForNonAimdPolicies) {
-  for (OverloadPolicy policy : {OverloadPolicy::kNone, OverloadPolicy::kAdmit,
-                                OverloadPolicy::kShed}) {
-    OverloadController c(params_for(policy));
-    double before = c.window();
-    c.tick(1.0);
-    EXPECT_DOUBLE_EQ(c.window(), before) << overload_policy_name(policy);
-  }
 }
 
 TEST(OverloadController, DrainPopsOldestFirstWithoutTouchingInFlight) {

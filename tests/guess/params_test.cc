@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
+
 namespace guess {
 namespace {
 
@@ -77,6 +79,22 @@ TEST(Params, DescribeMentionsKeyFields) {
 TEST(Params, BadPongBehaviorNames) {
   EXPECT_EQ(to_string(BadPongBehavior::kDead), "Dead");
   EXPECT_EQ(to_string(BadPongBehavior::kBad), "Bad");
+}
+
+TEST(Params, BadPongBehaviorParseRoundTrip) {
+  for (BadPongBehavior behavior :
+       {BadPongBehavior::kDead, BadPongBehavior::kBad}) {
+    EXPECT_EQ(parse_bad_pong_behavior(to_string(behavior)), behavior);
+  }
+}
+
+// Unknown names used to fall through to a default (a different one in each
+// example), so a typo silently ran the other attack.
+TEST(Params, BadPongBehaviorParseRejectsUnknownNames) {
+  for (const char* name : {"bad", "dead", "Collude", ""}) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(parse_bad_pong_behavior(name), CheckError);
+  }
 }
 
 }  // namespace

@@ -77,8 +77,7 @@ TEST(OpenLoop, ClosedLoopRunsCarryZeroOverloadStats) {
 
 TEST(OpenLoop, ConservationHoldsForEveryPolicy) {
   for (OverloadPolicy policy :
-       {OverloadPolicy::kNone, OverloadPolicy::kAdmit, OverloadPolicy::kShed,
-        OverloadPolicy::kBackpressure}) {
+       {OverloadPolicy::kNone, OverloadPolicy::kAdmit, OverloadPolicy::kShed}) {
     SCOPED_TRACE(overload_policy_name(policy));
     SearchResults r = run_search(open_config(policy, 5.0));
     EXPECT_TRUE(r.overload.open_loop);
@@ -145,16 +144,27 @@ TEST(OpenLoop, SameSeedIsBitwiseReproducible) {
 }
 
 TEST(OpenLoop, BitwiseIdenticalAcrossSchedulers) {
-  for (OverloadPolicy policy :
-       {OverloadPolicy::kNone, OverloadPolicy::kBackpressure}) {
+  // A tight shedding budget drives the controller queue, the pump and the
+  // watermark drops.
+  OverloadParams shed;
+  shed.policy = OverloadPolicy::kShed;
+  shed.max_in_flight = 4;
+  shed.queue_capacity = 16;
+  shed.shed_watermark = 8;
+  for (OverloadPolicy policy : {OverloadPolicy::kNone, OverloadPolicy::kShed}) {
     SCOPED_TRACE(overload_policy_name(policy));
-    SearchResults heap = run_search(
-        open_config(policy, 8.0).scheduler(sim::Scheduler::kHeap));
+    auto config = open_config(policy, 8.0);
+    if (policy == OverloadPolicy::kShed) config.overload(shed);
+    SearchResults heap =
+        run_search(SimulationConfig(config).scheduler(sim::Scheduler::kHeap));
     SearchResults calendar = run_search(
-        open_config(policy, 8.0).scheduler(sim::Scheduler::kCalendar));
+        SimulationConfig(config).scheduler(sim::Scheduler::kCalendar));
     expect_identical(heap.overload, calendar.overload);
     EXPECT_EQ(heap.queries_completed, calendar.queries_completed);
     EXPECT_EQ(heap.probes, calendar.probes);
+    if (policy == OverloadPolicy::kShed) {
+      EXPECT_GT(heap.overload.shed, 0u);
+    }
   }
 }
 
