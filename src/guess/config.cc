@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "guess/link_cache.h"
 
 namespace guess {
 
@@ -36,6 +37,14 @@ namespace {
 /// Upper bound on the attack multipliers (dead/flood pool size per peer,
 /// pong-flood amplification).
 constexpr double kMaxAttackFactor = 1000.0;
+
+/// Upper bound on CacheSize: the link cache addresses its entries with
+/// 16-bit positions (LinkCache::kMaxCapacity). The largest cache any bench
+/// sweeps is 500.
+constexpr std::size_t kMaxCacheSize = LinkCache::kMaxCapacity;
+
+/// Upper bound on PongSize: a pong is a selection from one cache.
+constexpr std::size_t kMaxPongSize = kMaxCacheSize;
 
 }  // namespace
 
@@ -151,8 +160,16 @@ const SimulationConfig& SimulationConfig::validate() const {
   GUESS_CHECK_MSG(protocol_.probe_interval > 0.0,
                   "probe_interval must be > 0, got "
                       << protocol_.probe_interval);
-  GUESS_CHECK_MSG(protocol_.cache_size >= 1, "cache_size must be >= 1");
-  GUESS_CHECK_MSG(protocol_.pong_size >= 1, "pong_size must be >= 1");
+  // Negative sizes wrapped through an unsigned cast (e.g. a mis-parsed
+  // --cache-size=-1) land far above these bounds.
+  GUESS_CHECK_MSG(protocol_.cache_size >= 1 &&
+                      protocol_.cache_size <= kMaxCacheSize,
+                  "cache_size must be in [1, " << kMaxCacheSize << "], got "
+                                               << protocol_.cache_size);
+  GUESS_CHECK_MSG(protocol_.pong_size >= 1 &&
+                      protocol_.pong_size <= kMaxPongSize,
+                  "pong_size must be in [1, " << kMaxPongSize << "], got "
+                                              << protocol_.pong_size);
   GUESS_CHECK_MSG(protocol_.intro_prob >= 0.0 && protocol_.intro_prob <= 1.0,
                   "intro_prob must be in [0, 1], got "
                       << protocol_.intro_prob);

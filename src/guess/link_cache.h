@@ -5,22 +5,24 @@
 // never contains the owner's own id.
 //
 // Hot-path structure: the id -> position index is a flat open-addressing
-// table (FlatIdMap) sized once for the bounded capacity, and the policy
-// orderings the run actually uses are maintained incrementally as
-// ScoreIndex heaps (configure_indices), so select_best is O(1), select_top
-// is O(k log n), and a full-cache offer decides accept/reject in O(1) —
-// none of which rescores the whole cache or allocates. Policies that were
-// not configured fall back to the legacy full-scan paths, which produce
-// bitwise-identical selections (the index comparators replicate the scans'
-// position tie-breaks exactly).
+// table of 16-bit positions (PositionTable) sized once for the bounded
+// capacity, and the policy orderings the run actually uses are maintained
+// incrementally as ScoreIndex heaps of 16-bit positions (configure_indices),
+// so select_best is O(1), select_top is O(k log n), and a full-cache offer
+// decides accept/reject in O(1) — none of which rescores the whole cache or
+// allocates. Neither structure stores an id or a score: both read them from
+// entries_ (DESIGN.md §15). Policies that were not configured fall back to
+// the legacy full-scan paths, which produce bitwise-identical selections
+// (the index comparators replicate the scans' position tie-breaks exactly).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "common/id_map.h"
+#include "common/check.h"
 #include "common/rng.h"
 #include "guess/cache_entry.h"
 #include "guess/policy.h"
@@ -28,11 +30,129 @@
 
 namespace guess {
 
+/// Open-addressing id -> position table over one cache's entries. Slots hold
+/// positions only; the key of a slot holding position p is entries[p].id, so
+/// every call takes the entries it indexes (as a span, so builds with
+/// _GLIBCXX_ASSERTIONS bounds-check every key read). Deletion is by backward
+/// shift (no tombstones), so churn never degrades the probe chains and never
+/// allocates. The table is sized once to keep the load factor at or below
+/// 0.5.
+class PositionTable {
+ public:
+  using Pos = std::uint16_t;
+  static constexpr Pos kNone = 0xFFFF;
+
+  explicit PositionTable(std::size_t capacity) {
+    // Checked before sizing: a capacity near SIZE_MAX would overflow the
+    // doubling below and never stop.
+    GUESS_CHECK_MSG(capacity <= kNone, "cache capacity must be <= "
+                                           << kNone << ", got " << capacity);
+    std::size_t want = 8;
+    while (want < capacity * 2) want *= 2;
+    slots_.assign(want, kNone);
+    capacity_ = capacity;
+  }
+
+  std::size_t size() const { return size_; }
+  std::size_t slot_count() const { return slots_.size(); }
+  /// The slot a probe for `id` starts at (tests build colliding chains).
+  std::size_t home_slot(PeerId id) const { return mix(id) & mask(); }
+
+  /// Position of `id`, or kNone.
+  Pos find(PeerId id, std::span<const CacheEntry> entries) const {
+    for (std::size_t i = home_slot(id);; i = (i + 1) & mask()) {
+      Pos pos = slots_[i];
+      if (pos == kNone || entries[pos].id == id) return pos;
+    }
+  }
+
+  /// Index a new key at `pos` (checked: absent, capacity not exceeded).
+  /// entries[pos] need not hold `id` yet.
+  void insert(PeerId id, std::size_t pos,
+              std::span<const CacheEntry> entries) {
+    GUESS_CHECK_MSG(size_ < capacity_, "PositionTable over capacity");
+    for (std::size_t i = home_slot(id);; i = (i + 1) & mask()) {
+      if (slots_[i] == kNone) {
+        slots_[i] = static_cast<Pos>(pos);
+        ++size_;
+        return;
+      }
+      GUESS_CHECK_MSG(entries[slots_[i]].id != id,
+                      "PositionTable duplicate insert");
+    }
+  }
+
+  /// Repoint an existing key at `pos` (checked: present). Its old position
+  /// must still hold `id`.
+  void assign(PeerId id, std::size_t pos,
+              std::span<const CacheEntry> entries) {
+    for (std::size_t i = home_slot(id);; i = (i + 1) & mask()) {
+      GUESS_CHECK_MSG(slots_[i] != kNone,
+                      "PositionTable assign to missing key");
+      if (entries[slots_[i]].id == id) {
+        slots_[i] = static_cast<Pos>(pos);
+        return;
+      }
+    }
+  }
+
+  /// Remove `id` if present; every indexed position must still hold its
+  /// key. @returns true if a mapping was removed.
+  bool erase(PeerId id, std::span<const CacheEntry> entries) {
+    std::size_t i = home_slot(id);
+    for (;; i = (i + 1) & mask()) {
+      if (slots_[i] == kNone) return false;
+      if (entries[slots_[i]].id == id) break;
+    }
+    // Backward-shift: pull subsequent chain members over the hole while
+    // doing so shortens (never breaks) their probe distance.
+    std::size_t hole = i;
+    for (std::size_t j = (i + 1) & mask(); slots_[j] != kNone;
+         j = (j + 1) & mask()) {
+      std::size_t home = home_slot(entries[slots_[j]].id);
+      // Move j into the hole iff the hole lies cyclically within
+      // [home, j): the element stays reachable from its home slot.
+      if (((j - home) & mask()) >= ((j - hole) & mask())) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = kNone;
+    --size_;
+    return true;
+  }
+
+ private:
+  static std::uint64_t mix(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
+
+  std::size_t mask() const { return slots_.size() - 1; }
+
+  std::vector<Pos> slots_;  // positions; kNone = empty
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+};
+
 class LinkCache {
  public:
+  /// Largest capacity a cache can address: its positions 0..kMaxCapacity-1
+  /// are 16-bit and never collide with the table's empty marker.
+  static constexpr std::size_t kMaxCapacity = PositionTable::kNone;
+  static_assert(sizeof(ScoreIndex::Pos) == sizeof(PositionTable::Pos));
+
   /// @param owner     id of the owning peer (own entries are rejected)
   /// @param capacity  the paper's CacheSize parameter
   LinkCache(PeerId owner, std::size_t capacity);
+
+  /// Size this thread's selection scratch (shared by every cache the thread
+  /// touches) for caches of up to `capacity` entries, so select_top_into
+  /// never allocates on it afterwards. Selection grows the scratch on first
+  /// use anyway; call this before an allocation-free phase.
+  static void reserve_selection_scratch(std::size_t capacity);
 
   /// Maintain incremental score orderings for the given selection policies
   /// and retention policy (kRandom entries are ignored — random scores are
@@ -64,7 +184,9 @@ class LinkCache {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   bool full() const { return entries_.size() >= capacity_; }
-  bool contains(PeerId id) const { return index_.contains(id); }
+  bool contains(PeerId id) const {
+    return index_.find(id, entries_) != PositionTable::kNone;
+  }
 
   /// All current entries (unspecified order; stable between mutations).
   std::span<const CacheEntry> entries() const { return entries_; }
@@ -125,10 +247,23 @@ class LinkCache {
     ScoreIndex index;
   };
 
+  /// Call fn(key) once with the priority function of a selection policy:
+  /// key(pos) is entries_[pos]'s selection score. The policy and MR* switch
+  /// are decided here, outside the heap's comparison loops.
+  template <typename Fn>
+  void with_selection_key(Policy policy, Fn&& fn) const;
+  /// Same for the retention ordering: key(pos) is the NEGATED retention
+  /// score, so the max heap keeps the eviction victim on top.
+  template <typename Fn>
+  void with_retention_key(Fn&& fn) const;
+
   void erase_at(std::size_t pos);
   /// Index maintenance after entries_.push_back / entries_[pos] = ...
+  /// `changed` is a bitmask of the entry fields written (link_cache.cc).
   void note_insert();
-  void note_update(std::size_t pos);
+  void note_update(std::size_t pos, unsigned changed);
+  /// entries_[pos] takes `candidate`'s place (full-cache replacement).
+  void replace_at(std::size_t pos, const CacheEntry& candidate);
   void rebuild_indices();
   const ScoreIndex* find_selection(Policy policy) const;
   /// The first-hand-floor guard: true iff replacing `victim` with
@@ -145,18 +280,12 @@ class LinkCache {
   std::size_t first_hand_floor_ = 0;
   std::size_t first_hand_count_ = 0;
   std::vector<CacheEntry> entries_;
-  FlatIdMap index_;  // id -> position
+  PositionTable index_;  // id -> position
 
   std::vector<SelectionIndex> selection_indices_;
   Replacement retention_policy_ = Replacement::kRandom;  // kRandom = none
   bool has_retention_index_ = false;
   ScoreIndex retention_index_;
-
-  // Scratch buffers for the allocation-free selection paths (grown once).
-  mutable std::vector<std::uint32_t> topk_positions_;
-  mutable std::vector<ScoreIndex::Item> topk_scratch_;
-  mutable std::vector<std::size_t> sample_out_;
-  mutable std::vector<std::size_t> sample_scratch_;
 };
 
 }  // namespace guess

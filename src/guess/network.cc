@@ -105,6 +105,9 @@ GuessNetwork::GuessNetwork(const SimulationConfig& config,
                                          system_.burst_max}),
       zoo_(config.malicious(), system_.bad_pong_behavior) {
   config.validate();
+  // Pong selection's working buffers are per thread, not per cache: size
+  // them now so neither initialize() nor the query path grows them.
+  LinkCache::reserve_selection_scratch(protocol_.cache_size);
   churn_ = std::make_unique<churn::ChurnManager>(
       simulator_, churn::LifetimeDistribution(system_.lifespan_multiplier),
       rng_.split(), [this](PeerId id) { on_peer_death(id); });

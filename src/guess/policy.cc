@@ -42,24 +42,6 @@ double retention_score(Replacement policy, const CacheEntry& entry, Rng& rng,
   return 0.0;
 }
 
-double deterministic_selection_score(Policy policy, const CacheEntry& entry,
-                                     bool first_hand_only) {
-  switch (policy) {
-    case Policy::kRandom:
-      break;
-    case Policy::kMRU:
-      return entry.ts;
-    case Policy::kLRU:
-      return -entry.ts;
-    case Policy::kMFS:
-      return static_cast<double>(entry.num_files);
-    case Policy::kMR:
-      return static_cast<double>(entry.trusted_num_res(first_hand_only));
-  }
-  GUESS_CHECK_MSG(false, "random policy has no deterministic score");
-  return 0.0;
-}
-
 double deterministic_retention_score(Replacement policy,
                                      const CacheEntry& entry,
                                      bool first_hand_only) {

@@ -43,11 +43,9 @@ double selection_score(Policy policy, const CacheEntry& entry, Rng& rng,
 double retention_score(Replacement policy, const CacheEntry& entry, Rng& rng,
                        bool first_hand_only = false);
 
-/// Deterministic-policy scores for the incremental score index (checked:
-/// the policy must not be kRandom — random scores are fresh draws per
-/// decision and cannot be cached in an ordering).
-double deterministic_selection_score(Policy policy, const CacheEntry& entry,
-                                     bool first_hand_only);
+/// retention_score without the draw, for the indexed replacement decision
+/// (checked: the policy must not be kRandom — random scores are fresh draws
+/// per decision and cannot be cached in an ordering).
 double deterministic_retention_score(Replacement policy,
                                      const CacheEntry& entry,
                                      bool first_hand_only);

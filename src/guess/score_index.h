@@ -2,20 +2,29 @@
 //
 // The legacy select_best / select_top / offer paths rescanned (and rescored)
 // every cache entry per call. A ScoreIndex keeps one policy's ordering as an
-// indexed binary heap over (score, position) pairs, updated as entries are
-// inserted, evicted, replaced, or refreshed — O(log n) per mutation, O(1)
-// for the best entry, O(k log n) for a top-k.
+// indexed binary heap of cache positions, updated as entries are inserted,
+// evicted, replaced, or refreshed — O(log n) per mutation, O(1) for the best
+// entry, O(k log n) for a top-k.
+//
+// The heap stores 16-bit positions only; a position's score is read from
+// the cache's entries through a key function the caller picks once per
+// operation (LinkCache dispatches on policy and first-hand mode outside the
+// sift loops). The key returns a priority — larger is better — so one max
+// heap serves both selection (priority = selection score) and retention
+// (priority = negated retention score, the victim on top).
 //
 // Determinism contract: the heap's comparator is exactly the legacy scan's
-// tie-break — the best entry is the strict score optimum at the LOWEST
+// tie-break — the best entry is the strict priority optimum at the LOWEST
 // current position (the scans kept the first maximum/minimum), and top-k
-// pops in (score desc, position asc) order, matching the legacy
-// partial_sort comparator. Since (score, position) pairs are unique, the
+// pops in (priority desc, position asc) order, matching the legacy
+// partial_sort comparator. Since (priority, position) pairs are unique, the
 // heap layout cannot influence results: pops follow the total order.
 //
 // Positions are live indices into LinkCache::entries_, which swap-removes:
 // on_swap_remove() both deletes the evicted position and re-keys the entry
-// that moved into it.
+// that moved into it. Every call reads scores of positions still in the
+// heap, so the entries must already hold their new values (and a removed
+// position's successor must not yet be popped) when the index is told.
 #pragma once
 
 #include <cstddef>
@@ -28,18 +37,9 @@ namespace guess {
 
 class ScoreIndex {
  public:
-  struct Item {
-    double score = 0.0;
-    std::uint32_t pos = 0;
-  };
+  using Pos = std::uint16_t;
 
-  enum class Order {
-    kMaxFirst,  ///< selection policies: highest score probed first
-    kMinFirst,  ///< retention policies: lowest score is the eviction victim
-  };
-
-  void reset(Order order, std::size_t capacity) {
-    order_ = order;
+  void reset(std::size_t capacity) {
     heap_.clear();
     heap_.reserve(capacity);
     slot_of_.clear();
@@ -49,79 +49,81 @@ class ScoreIndex {
   std::size_t size() const { return heap_.size(); }
 
   /// Entry appended at position `pos` (== previous size).
-  void on_insert(std::size_t pos, double score) {
+  template <typename Key>
+  void on_insert(std::size_t pos, Key key) {
     GUESS_CHECK(pos == heap_.size());
-    heap_.push_back(Item{score, static_cast<std::uint32_t>(pos)});
-    slot_of_.push_back(static_cast<std::uint32_t>(pos));
-    sift_up(heap_.size() - 1);
+    heap_.push_back(static_cast<Pos>(pos));
+    slot_of_.push_back(static_cast<Pos>(pos));
+    sift_up(heap_.size() - 1, key);
   }
 
   /// Entry at `pos` re-scored in place (touch / set_num_res / replacement).
-  void on_update(std::size_t pos, double score) {
-    std::size_t slot = slot_of_[pos];
-    heap_[slot].score = score;
-    resift(slot);
+  template <typename Key>
+  void on_update(std::size_t pos, Key key) {
+    resift(slot_of_[pos], key);
   }
 
   /// LinkCache::erase_at(pos): the entry at `pos` is gone and the entry
-  /// previously at `last` (== size-1) now lives at `pos`.
-  void on_swap_remove(std::size_t pos, std::size_t last) {
-    remove_slot(slot_of_[pos]);
+  /// previously at `last` (== size-1) now lives at `pos`. `key(pos)` must
+  /// already read the moved entry.
+  template <typename Key>
+  void on_swap_remove(std::size_t pos, std::size_t last, Key key) {
+    remove_slot(slot_of_[pos], key);
     if (pos != last) {
       // The moved entry's score is unchanged but its tie-break position
       // dropped, which can only raise its priority.
       std::size_t slot = slot_of_[last];
-      heap_[slot].pos = static_cast<std::uint32_t>(pos);
-      slot_of_[pos] = static_cast<std::uint32_t>(slot);
-      sift_up(slot);
+      heap_[slot] = static_cast<Pos>(pos);
+      slot_of_[pos] = static_cast<Pos>(slot);
+      sift_up(slot, key);
     }
     slot_of_.pop_back();
   }
 
-  /// The ordering's optimum: (score, position) of the entry the legacy scan
-  /// would have returned.
-  const Item& top() const {
+  /// The ordering's optimum: the position the legacy scan would have
+  /// returned.
+  std::size_t top() const {
     GUESS_CHECK(!heap_.empty());
     return heap_[0];
   }
 
   /// First `k` positions in selection order, appended to `out`. `scratch`
-  /// holds a working copy of the heap; both keep their capacity across
-  /// calls, so a warmed caller never allocates.
-  void top_k(std::size_t k, std::vector<std::uint32_t>& out,
-             std::vector<Item>& scratch) const {
-    // Small k (the per-pong case: k=PongSize over a full cache): one linear
-    // pass keeping a sorted best-k prefix in `scratch` beats copying the
-    // whole heap just to pop k of it — most items fail the single
-    // compare against the current k-th best. Output order is the same
-    // either way: (score, position) pairs are unique, so the top-k in
-    // selection order is independent of how it is extracted.
+  /// holds the walk's frontier or a working copy of the heap; both keep
+  /// their capacity across calls, so a warmed caller never allocates.
+  template <typename Key>
+  void top_k(std::size_t k, std::vector<Pos>& out, std::vector<Pos>& scratch,
+             Key key) const {
+    // Small k (the per-pong case: k=PongSize over a full cache): a
+    // best-first walk down the heap. The next position in selection order
+    // is always the best of a frontier that starts at the root and gains
+    // the children of every position emitted, so only about 2k scores are
+    // read instead of copying the heap and sifting it k times. `scratch`
+    // holds the frontier's heap slots, sorted best-last. Output order is
+    // the same either way: (priority, position) pairs are unique, so the
+    // top-k in selection order is independent of how it is extracted.
     if (k > 0 && k * 4 <= heap_.size()) {
       scratch.clear();
-      for (const Item& item : heap_) {
-        if (scratch.size() == k) {
-          if (!better(item, scratch.back())) continue;
-          std::size_t pos = k - 1;
-          while (pos > 0 && better(item, scratch[pos - 1])) {
-            scratch[pos] = scratch[pos - 1];
-            --pos;
-          }
-          scratch[pos] = item;
-        } else {
-          scratch.push_back(item);
-          for (std::size_t pos = scratch.size() - 1;
-               pos > 0 && better(scratch[pos], scratch[pos - 1]); --pos) {
-            std::swap(scratch[pos], scratch[pos - 1]);
+      scratch.push_back(0);
+      for (std::size_t i = 0;; ++i) {
+        std::size_t slot = scratch.back();
+        scratch.pop_back();
+        out.push_back(heap_[slot]);
+        if (i + 1 == k) return;
+        for (std::size_t child = 2 * slot + 1;
+             child <= 2 * slot + 2 && child < heap_.size(); ++child) {
+          scratch.push_back(static_cast<Pos>(child));
+          for (std::size_t j = scratch.size() - 1;
+               j > 0 && better(heap_[scratch[j - 1]], heap_[child], key);
+               --j) {
+            std::swap(scratch[j], scratch[j - 1]);
           }
         }
       }
-      for (const Item& item : scratch) out.push_back(item.pos);
-      return;
     }
     scratch = heap_;
     std::size_t n = scratch.size();
     for (std::size_t i = 0; i < k && n > 0; ++i) {
-      out.push_back(scratch[0].pos);
+      out.push_back(scratch[0]);
       scratch[0] = scratch[--n];
       // Sift the promoted tail element down within scratch[0..n).
       std::size_t s = 0;
@@ -129,63 +131,61 @@ class ScoreIndex {
         std::size_t l = 2 * s + 1;
         if (l >= n) break;
         std::size_t best = l;
-        if (l + 1 < n && better(scratch[l + 1], scratch[l])) best = l + 1;
-        if (!better(scratch[best], scratch[s])) break;
+        if (l + 1 < n && better(scratch[l + 1], scratch[l], key)) best = l + 1;
+        if (!better(scratch[best], scratch[s], key)) break;
         std::swap(scratch[s], scratch[best]);
         s = best;
       }
     }
   }
 
-  /// Rebuild from scratch (first-hand-only flips re-key every entry).
-  /// `scores[i]` is position i's score.
-  void rebuild(const std::vector<double>& scores) {
-    heap_.clear();
-    slot_of_.clear();
-    for (std::size_t i = 0; i < scores.size(); ++i) on_insert(i, scores[i]);
-  }
-
  private:
-  bool better(const Item& a, const Item& b) const {
-    if (a.score != b.score) {
-      return order_ == Order::kMaxFirst ? a.score > b.score
-                                        : a.score < b.score;
-    }
-    return a.pos < b.pos;
+  template <typename Key>
+  static bool better(Pos a, Pos b, Key key) {
+    auto ka = key(a);
+    auto kb = key(b);
+    if (ka != kb) return ka > kb;
+    return a < b;
   }
 
-  void sift_up(std::size_t slot) {
+  template <typename Key>
+  void sift_up(std::size_t slot, Key key) {
     while (slot > 0) {
       std::size_t parent = (slot - 1) / 2;
-      if (!better(heap_[slot], heap_[parent])) break;
+      if (!better(heap_[slot], heap_[parent], key)) break;
       swap_slots(slot, parent);
       slot = parent;
     }
   }
 
-  void sift_down(std::size_t slot) {
+  template <typename Key>
+  void sift_down(std::size_t slot, Key key) {
     for (;;) {
       std::size_t l = 2 * slot + 1;
       if (l >= heap_.size()) break;
       std::size_t best = l;
-      if (l + 1 < heap_.size() && better(heap_[l + 1], heap_[l])) best = l + 1;
-      if (!better(heap_[best], heap_[slot])) break;
+      if (l + 1 < heap_.size() && better(heap_[l + 1], heap_[l], key)) {
+        best = l + 1;
+      }
+      if (!better(heap_[best], heap_[slot], key)) break;
       swap_slots(slot, best);
       slot = best;
     }
   }
 
-  void resift(std::size_t slot) {
-    sift_up(slot);
-    sift_down(slot);
+  template <typename Key>
+  void resift(std::size_t slot, Key key) {
+    sift_up(slot, key);
+    sift_down(slot, key);
   }
 
-  void remove_slot(std::size_t slot) {
+  template <typename Key>
+  void remove_slot(std::size_t slot, Key key) {
     std::size_t back = heap_.size() - 1;
     if (slot != back) {
       swap_slots(slot, back);
       heap_.pop_back();
-      resift(slot);
+      resift(slot, key);
     } else {
       heap_.pop_back();
     }
@@ -193,13 +193,12 @@ class ScoreIndex {
 
   void swap_slots(std::size_t a, std::size_t b) {
     std::swap(heap_[a], heap_[b]);
-    slot_of_[heap_[a].pos] = static_cast<std::uint32_t>(a);
-    slot_of_[heap_[b].pos] = static_cast<std::uint32_t>(b);
+    slot_of_[heap_[a]] = static_cast<Pos>(a);
+    slot_of_[heap_[b]] = static_cast<Pos>(b);
   }
 
-  Order order_ = Order::kMaxFirst;
-  std::vector<Item> heap_;           // binary heap of (score, position)
-  std::vector<std::uint32_t> slot_of_;  // position -> heap slot
+  std::vector<Pos> heap_;     // binary heap of positions, best on top
+  std::vector<Pos> slot_of_;  // position -> heap slot
 };
 
 }  // namespace guess

@@ -12,11 +12,18 @@
 #include <vector>
 
 #include "content/content_model.h"
+#include "guess/link_cache.h"
 #include "guess/network.h"
 #include "sim/simulator.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
+
+void count_allocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 }  // namespace
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -24,12 +31,12 @@ std::atomic<std::uint64_t> g_allocations{0};
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -46,6 +53,10 @@ namespace {
 
 std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t allocated_bytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
 }
 
 TEST(BootstrapAlloc, SampleLibraryAllocatesAtMostTwicePerCall) {
@@ -123,12 +134,54 @@ TEST(BootstrapAlloc, CacheSeedingReusesBuffersAcrossPeers) {
   EXPECT_LE(distance(sparse, dense), 2u);
 }
 
+TEST(BootstrapAlloc, LinkCacheAllocatesAtMostSixKiB) {
+  // Every peer owns one cache, so its heap bytes are multiplied by the
+  // population. A 100-entry cache configured the way GuessNetwork::
+  // spawn_peer configures it (three selection orderings plus LR retention)
+  // holds 3200 bytes of entries, a 512-byte position table and four heaps
+  // of 16-bit positions (400 bytes each): about 5.5 KB. Per-cache selection
+  // scratch or 16-byte heap items would push it past 6 KiB. Selection
+  // scratch is shared per thread, so it is sized before the count starts.
+  constexpr std::size_t kCapacity = 100;
+  LinkCache::reserve_selection_scratch(kCapacity);
+  std::vector<CacheEntry> pong;
+  pong.reserve(kCapacity);
+  Rng rng(3);
+  std::uint64_t before = allocated_bytes();
+  LinkCache cache(/*owner=*/0, kCapacity);
+  cache.configure_indices({Policy::kLRU, Policy::kMFS, Policy::kMR},
+                          Replacement::kLR);
+  for (PeerId id = 1; id <= 3 * kCapacity; ++id) {
+    CacheEntry entry{id, static_cast<double>(id),
+                     static_cast<std::uint32_t>(id % 7),
+                     static_cast<std::uint32_t>(id % 3)};
+    if (cache.full()) {
+      cache.offer(entry, Replacement::kLR, rng);
+    } else {
+      cache.insert_free(entry);
+    }
+    cache.touch(id, static_cast<double>(id) + 0.5);
+    cache.select_top_into(Policy::kMR, 5, rng, pong);
+    cache.select_top_into(Policy::kLRU, kCapacity, rng, pong);
+  }
+  cache.set_first_hand_only(true);
+  ASSERT_TRUE(cache.full());
+  EXPECT_LE(allocated_bytes() - before, 6u * 1024u);
+}
+
 // Sanity: the counter actually counts (a direct call cannot be elided).
 TEST(BootstrapAllocCounter, CountsHeapAllocations) {
   std::uint64_t before = allocation_count();
   void* p = ::operator new(32);
   ::operator delete(p);
   EXPECT_EQ(allocation_count(), before + 1);
+}
+
+TEST(BootstrapAllocCounter, CountsRequestedBytes) {
+  std::uint64_t before = allocated_bytes();
+  void* p = ::operator new(48);
+  ::operator delete(p);
+  EXPECT_EQ(allocated_bytes(), before + 48);
 }
 
 }  // namespace

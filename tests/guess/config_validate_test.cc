@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "guess/config.h"
+#include "guess/link_cache.h"
 
 namespace guess {
 namespace {
@@ -229,6 +230,27 @@ TEST(ConfigValidate, ProtocolBounds) {
   EXPECT_THROW(with([](ProtocolParams& p) { p.cache_size = 0; }).validate(),
                CheckError);
   EXPECT_THROW(with([](ProtocolParams& p) { p.pong_size = 0; }).validate(),
+               CheckError);
+  // CacheSize and PongSize stop at what a 16-bit cache position addresses;
+  // a negative value wrapped through an unsigned cast lands far above it.
+  constexpr std::size_t kMax = LinkCache::kMaxCapacity;
+  EXPECT_NO_THROW(
+      with([](ProtocolParams& p) { p.cache_size = kMax; }).validate());
+  EXPECT_THROW(
+      with([](ProtocolParams& p) { p.cache_size = kMax + 1; }).validate(),
+      CheckError);
+  EXPECT_THROW(with([](ProtocolParams& p) {
+                 p.cache_size = static_cast<std::size_t>(-1);
+               }).validate(),
+               CheckError);
+  EXPECT_NO_THROW(
+      with([](ProtocolParams& p) { p.pong_size = kMax; }).validate());
+  EXPECT_THROW(
+      with([](ProtocolParams& p) { p.pong_size = kMax + 1; }).validate(),
+      CheckError);
+  EXPECT_THROW(with([](ProtocolParams& p) {
+                 p.pong_size = static_cast<std::size_t>(-1);
+               }).validate(),
                CheckError);
   EXPECT_THROW(with([](ProtocolParams& p) { p.intro_prob = 1.5; }).validate(),
                CheckError);

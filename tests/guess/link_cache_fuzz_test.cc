@@ -73,15 +73,19 @@ class ReferenceCache {
   std::map<PeerId, CacheEntry> entries_;
 };
 
-class LinkCacheFuzz
-    : public ::testing::TestWithParam<std::tuple<Replacement, int>> {};
-
-TEST_P(LinkCacheFuzz, MatchesReferenceModel) {
-  auto [policy, seed] = GetParam();
+// Random operation sequences against the reference model. `indexed`
+// configures the cache as GuessNetwork::spawn_peer does (selection heaps
+// plus a retention heap for `policy`); otherwise every decision takes the
+// legacy full-scan path.
+void fuzz_against_reference(Replacement policy, int seed,
+                            std::size_t capacity, bool indexed) {
   Rng rng(static_cast<std::uint64_t>(seed));
   Rng cache_rng(1);  // deterministic policies never consume it
-  const std::size_t capacity = 8;
   LinkCache cache(kOwner, capacity);
+  if (indexed) {
+    cache.configure_indices({Policy::kLRU, Policy::kMFS, Policy::kMR},
+                            policy);
+  }
   ReferenceCache reference(capacity, policy);
 
   double now = 0.0;
@@ -139,6 +143,35 @@ TEST_P(LinkCacheFuzz, MatchesReferenceModel) {
     // No extra entries: sizes match and every reference entry was found.
   }
 }
+
+class LinkCacheFuzz
+    : public ::testing::TestWithParam<std::tuple<Replacement, int>> {};
+
+TEST_P(LinkCacheFuzz, MatchesReferenceModel) {
+  auto [policy, seed] = GetParam();
+  fuzz_against_reference(policy, seed, /*capacity=*/8, /*indexed=*/false);
+}
+
+// The ±1 edges of capacity: the smallest caches, where every offer to a
+// full cache replaces the only or nearly only entry and swap-removal often
+// hits the last position, and 19/20/21, the capacities at which
+// link_cache_index_test straddles ScoreIndex::top_k's branches.
+class LinkCacheFuzzCapacity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(LinkCacheFuzzCapacity, MatchesReferenceModel) {
+  for (Replacement policy : {Replacement::kLRU, Replacement::kMRU,
+                             Replacement::kLFS, Replacement::kLR}) {
+    SCOPED_TRACE("policy " + to_string(policy));
+    for (bool indexed : {false, true}) {
+      SCOPED_TRACE(indexed ? "indexed" : "scan");
+      ASSERT_NO_FATAL_FAILURE(
+          fuzz_against_reference(policy, /*seed=*/5, GetParam(), indexed));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CapacityEdges, LinkCacheFuzzCapacity,
+                         ::testing::Values(1, 2, 3, 4, 5, 19, 20, 21));
 
 INSTANTIATE_TEST_SUITE_P(
     PoliciesAndSeeds, LinkCacheFuzz,

@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "guess/link_cache.h"
 
@@ -57,7 +58,12 @@ struct Pair {
   }
 };
 
-TEST(LinkCacheIndexEquivalence, RandomisedChurnAllDeterministicPolicies) {
+// Randomised churn on an indexed and an unconfigured cache of `capacity`
+// entries, every deterministic retention policy in turn. Besides offers,
+// misses and hits on touch / set_num_res / evict, the mix swap-removes the
+// last position and evicts residents while narrow score ranges keep many of
+// them tied, and flips the MR* lens mid-run.
+void churn_equivalence(std::size_t capacity) {
   const std::vector<Policy> kSelections = {Policy::kMRU, Policy::kLRU,
                                            Policy::kMFS, Policy::kMR};
   const std::vector<Replacement> kRetentions = {
@@ -66,9 +72,11 @@ TEST(LinkCacheIndexEquivalence, RandomisedChurnAllDeterministicPolicies) {
 
   for (Replacement retention : kRetentions) {
     SCOPED_TRACE("retention " + std::to_string(static_cast<int>(retention)));
-    Pair caches(16, {Policy::kMRU, Policy::kLRU, Policy::kMFS, Policy::kMR},
+    Pair caches(capacity,
+                {Policy::kMRU, Policy::kLRU, Policy::kMFS, Policy::kMR},
                 retention, /*seed=*/99);
     Rng driver(7 + static_cast<std::uint64_t>(retention));
+    bool filled = false;
 
     for (int step = 0; step < 3000; ++step) {
       double roll = driver.uniform();
@@ -89,7 +97,23 @@ TEST(LinkCacheIndexEquivalence, RandomisedChurnAllDeterministicPolicies) {
       } else if (roll < 0.55) {
         PeerId victim = driver.index(40);
         ASSERT_EQ(caches.indexed.evict(victim), caches.legacy.evict(victim));
-      } else if (roll < 0.65) {
+      } else if (roll < 0.58) {
+        // Swap-removal of the last position (nothing moves into the hole).
+        if (!caches.indexed.empty()) {
+          PeerId last = caches.indexed.entries().back().id;
+          ASSERT_TRUE(caches.indexed.evict(last));
+          ASSERT_TRUE(caches.legacy.evict(last));
+        }
+      } else if (roll < 0.61) {
+        // A resident chosen by position: with six NumFiles values and
+        // twenty timestamps, most share a score with another entry.
+        if (!caches.indexed.empty()) {
+          auto entries = caches.indexed.entries();
+          PeerId id = entries[driver.index(entries.size())].id;
+          ASSERT_TRUE(caches.indexed.evict(id));
+          ASSERT_TRUE(caches.legacy.evict(id));
+        }
+      } else if (roll < 0.67) {
         PeerId id = driver.index(40);
         sim::Time now = static_cast<sim::Time>(step);
         caches.indexed.touch(id, now);
@@ -113,7 +137,8 @@ TEST(LinkCacheIndexEquivalence, RandomisedChurnAllDeterministicPolicies) {
         if (a) ASSERT_TRUE(entry_eq(*a, *b)) << "select_best diverged";
       } else {
         Policy policy = kSelections[driver.index(kSelections.size())];
-        std::size_t count = 1 + driver.index(20);
+        // Half the selections are PongSize-5 pongs, the rest any count.
+        std::size_t count = driver.bernoulli(0.5) ? 5 : 1 + driver.index(20);
         auto a = caches.indexed.select_top(policy, count,
                                            caches.rng_indexed);
         auto b = caches.legacy.select_top(policy, count,
@@ -124,10 +149,93 @@ TEST(LinkCacheIndexEquivalence, RandomisedChurnAllDeterministicPolicies) {
               << "select_top order diverged at rank " << i;
         }
       }
-      expect_same_entries(caches.indexed, caches.legacy);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_entries(caches.indexed, caches.legacy));
+      filled = filled || caches.indexed.full();
     }
-    EXPECT_TRUE(caches.indexed.full());  // the churn actually filled it
+    EXPECT_TRUE(filled);  // the churn actually exercised replacement
   }
+}
+
+TEST(LinkCacheIndexEquivalence, RandomisedChurnAllDeterministicPolicies) {
+  churn_equivalence(16);
+}
+
+// The ±1 capacity edges: caches of one to five entries, and 19/20/21, which
+// straddle ScoreIndex::top_k's small-k branch (k*4 <= size) at PongSize 5.
+class LinkCacheIndexEquivalenceCapacity
+    : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(LinkCacheIndexEquivalenceCapacity, RandomisedChurn) {
+  churn_equivalence(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(CapacityEdges, LinkCacheIndexEquivalenceCapacity,
+                         ::testing::Values(1, 2, 3, 4, 5, 19, 20, 21));
+
+// The largest cache a 16-bit position addresses: fill it, replace into it,
+// select from it and swap-remove its last position, all identically to the
+// scans.
+TEST(LinkCacheIndexEquivalence, MaxCapacityFillReplaceAndEvictLast) {
+  const std::size_t capacity = LinkCache::kMaxCapacity;
+  Pair caches(capacity, {Policy::kLRU, Policy::kMFS, Policy::kMR},
+              Replacement::kLR, /*seed=*/21);
+  Rng driver(23);
+  for (std::size_t i = 0; i < capacity; ++i) {
+    CacheEntry entry;
+    entry.id = i + 1;
+    entry.ts = static_cast<sim::Time>(driver.index(1000));
+    entry.num_files = static_cast<std::uint32_t>(driver.index(500));
+    entry.num_res = static_cast<std::uint32_t>(driver.index(50));
+    caches.indexed.insert_free(entry);
+    caches.legacy.insert_free(entry);
+  }
+  ASSERT_TRUE(caches.indexed.full());
+  ASSERT_EQ(caches.indexed.size(), capacity);
+  EXPECT_THROW(caches.indexed.insert_free(CacheEntry{capacity + 1}),
+               CheckError);
+  // One more entry than a 16-bit position addresses is refused up front,
+  // as is a wrapped negative size (which used to never finish sizing).
+  EXPECT_THROW(LinkCache(kOwner, capacity + 1), CheckError);
+  EXPECT_THROW(LinkCache(kOwner, static_cast<std::size_t>(-1)), CheckError);
+
+  auto same_selections = [&]() {
+    for (Policy policy : {Policy::kLRU, Policy::kMFS, Policy::kMR}) {
+      auto a = caches.indexed.select_best(policy, caches.rng_indexed);
+      auto b = caches.legacy.select_best(policy, caches.rng_legacy);
+      ASSERT_TRUE(entry_eq(*a, *b));
+      for (std::size_t count : {std::size_t{5}, capacity}) {
+        auto ta = caches.indexed.select_top(policy, count,
+                                            caches.rng_indexed);
+        auto tb = caches.legacy.select_top(policy, count, caches.rng_legacy);
+        ASSERT_EQ(ta.size(), tb.size());
+        for (std::size_t i = 0; i < ta.size(); ++i) {
+          ASSERT_TRUE(entry_eq(ta[i], tb[i])) << "rank " << i;
+        }
+      }
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(same_selections());
+
+  // Replacement into the full cache, then the last position goes.
+  CacheEntry candidate{capacity + 7, 5.0, 7, 100};
+  ASSERT_TRUE(caches.indexed.offer(candidate, Replacement::kLR,
+                                   caches.rng_indexed));
+  ASSERT_TRUE(
+      caches.legacy.offer(candidate, Replacement::kLR, caches.rng_legacy));
+  PeerId last = caches.indexed.entries().back().id;
+  ASSERT_TRUE(caches.indexed.evict(last));
+  ASSERT_TRUE(caches.legacy.evict(last));
+  EXPECT_FALSE(caches.indexed.contains(last));
+  EXPECT_EQ(caches.indexed.size(), capacity - 1);
+  ASSERT_NO_FATAL_FAILURE(expect_same_entries(caches.indexed, caches.legacy));
+  ASSERT_NO_FATAL_FAILURE(same_selections());
+
+  // The freed last position is reusable.
+  caches.indexed.insert_free(CacheEntry{last, 1.0, 1, 1});
+  caches.legacy.insert_free(CacheEntry{last, 1.0, 1, 1});
+  EXPECT_TRUE(caches.indexed.full());
+  ASSERT_NO_FATAL_FAILURE(expect_same_entries(caches.indexed, caches.legacy));
 }
 
 // kRandom draws per decision and is deliberately never indexed; both sides
