@@ -79,16 +79,24 @@ void BM_ZipfSample(benchmark::State& state) {
 BENCHMARK(BM_ZipfSample)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_QueryCandidateChurn(benchmark::State& state) {
+  // One pooled execution re-armed per query, the way GuessNetwork recycles
+  // them: 20 link-cache entries, then every probe's 5-entry Pong feeds new
+  // peers (one referrer each) until 200 have been offered.
   Rng rng(1);
+  QueryExecution query(0, 1, 1, Policy::kMR, 0.0);
+  query.reserve_candidates(200);
+  auto entry = [&rng](PeerId id) {
+    return CacheEntry{id, 0.0, 0,
+                      static_cast<std::uint32_t>(rng.uniform_int(0, 5))};
+  };
   for (auto _ : state) {
-    QueryExecution query(0, 1, 1, Policy::kMR, 0.0);
-    for (PeerId id = 1; id <= 200; ++id) {
-      query.add_candidate(
-          CacheEntry{id, 0.0, 0,
-                     static_cast<std::uint32_t>(rng.uniform_int(0, 5))},
-          rng);
-    }
-    while (query.next_candidate()) {
+    query.reset(0, 1, 1, Policy::kMR, 0.0);
+    PeerId id = 1;
+    for (; id <= 20; ++id) query.add_candidate(entry(id), rng);
+    while (auto probed = query.next_candidate()) {
+      for (int k = 0; k < 5 && id <= 200; ++k, ++id) {
+        query.add_candidate(entry(id), probed->id, rng);
+      }
     }
     benchmark::DoNotOptimize(query.seen());
   }

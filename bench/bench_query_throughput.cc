@@ -10,11 +10,13 @@
 // README.md; --check=<baseline.json> compares the measured end-to-end
 // queries/sec against a checked-in baseline and exits nonzero on a
 // regression beyond --tolerance (default 0.30) — the CI benchmark-smoke
-// gate.
+// gate. The baseline is read before anything runs, and --out naming the
+// same file as --check is rejected, so a check never rewrites its baseline.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -132,7 +134,8 @@ double ops_per_sec(std::uint64_t ops, Fn&& fn) {
 }
 
 // Per-query dedup: fill/probe/discard cycles, the seen-set lifecycle of one
-// query execution. Legacy: an unordered_set cleared per query.
+// query execution. Legacy: an unordered_set of 64-bit ids cleared per query.
+// Dense: the EpochSet on 32-bit keys, as QueryExecution passes them.
 Micro micro_dedup() {
   constexpr int kQueries = 60000;
   constexpr std::uint64_t kCandidates = 96;  // cache + pong fan-in
@@ -162,7 +165,8 @@ Micro micro_dedup() {
             seen.clear();
             for (std::uint64_t i = 0; i < kCandidates; ++i) {
               id = id * 6364136223846793005ULL + 1442695040888963407ULL;
-              sink += seen.insert(id >> 40) ? 1 : 0;
+              auto key = static_cast<std::uint32_t>(id >> 40);
+              sink += seen.insert(key) ? 1 : 0;
             }
           }
         });
@@ -351,6 +355,16 @@ std::vector<BaselinePoint> read_baseline(const std::string& path) {
   return points;
 }
 
+// True if both paths resolve to one file (or, for a file not yet written,
+// to one location).
+bool same_file(const std::string& a, const std::string& b) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  if (fs::equivalent(a, b, ec)) return true;
+  return fs::weakly_canonical(fs::absolute(a)) ==
+         fs::weakly_canonical(fs::absolute(b));
+}
+
 // Returns false (regression) if any network size present in both the
 // baseline and the live run lost more than `tolerance` of its queries/sec.
 bool check_against_baseline(const std::vector<BaselinePoint>& baseline,
@@ -390,6 +404,19 @@ int main(int argc, char** argv) {
   const double tolerance = flags.get_double("tolerance", 0.30);
   const long long only_n = flags.get_int("n", 0);
   const double measure_override = flags.get_double("measure", 0.0);
+
+  // Read the baseline before anything is written: --out must not be the
+  // file --check compares against.
+  std::vector<BaselinePoint> baseline;
+  if (!check_path.empty()) {
+    GUESS_CHECK_MSG(!same_file(out_path, check_path),
+                    "--out=" << out_path << " would overwrite the --check "
+                             << "baseline " << check_path
+                             << "; pass --out=<another file>");
+    baseline = read_baseline(check_path);
+    GUESS_CHECK_MSG(!baseline.empty(),
+                    "no end_to_end points found in " << check_path);
+  }
 
   std::vector<std::size_t> sizes;
   if (only_n > 0) {
@@ -454,11 +481,9 @@ int main(int argc, char** argv) {
   write_json(out_path, seed, points, micros, true);
   std::cout << "wrote " << out_path << "\n";
 
-  if (!check_path.empty()) {
-    auto baseline = read_baseline(check_path);
-    GUESS_CHECK_MSG(!baseline.empty(),
-                    "no end_to_end points found in " << check_path);
-    if (!check_against_baseline(baseline, points, tolerance)) return 1;
+  if (!check_path.empty() &&
+      !check_against_baseline(baseline, points, tolerance)) {
+    return 1;
   }
   return 0;
 }

@@ -129,6 +129,12 @@ GuessNetwork::GuessNetwork(const SimulationConfig& config,
 
 GuessNetwork::~GuessNetwork() = default;
 
+PeerId GuessNetwork::allocate_id() {
+  GUESS_CHECK_MSG(next_id_ < kPeerIdLimit,
+                  "peer id space exhausted (" << kPeerIdLimit << " ids)");
+  return next_id_++;
+}
+
 bool GuessNetwork::is_malicious(PeerId id) const {
   const Peer* peer = find(id);
   return peer != nullptr && peer->malicious();
@@ -146,7 +152,7 @@ void GuessNetwork::initialize() {
         zoo_.params().dead_pool_factor *
         static_cast<double>(system_.network_size));
     std::vector<PeerId> pool(pool_size);
-    for (auto& id : pool) id = next_id_++;
+    for (auto& id : pool) id = allocate_id();
     zoo_.set_dead_pool(std::move(pool));
   }
 
@@ -172,7 +178,7 @@ void GuessNetwork::initialize() {
 }
 
 PeerId GuessNetwork::spawn_peer(bool malicious, bool selfish, bool initial) {
-  PeerId id = next_id_++;
+  PeerId id = allocate_id();
   content::Library library =
       malicious ? content::Library{} : content_.sample_peer_library(rng_);
   Peer& ref = table_.create(id, simulator_.now(), std::move(library),
@@ -216,7 +222,7 @@ PeerId GuessNetwork::spawn_peer(bool malicious, bool selfish, bool initial) {
 }
 
 PeerId GuessNetwork::spawn_adversary(faults::AttackKind kind) {
-  PeerId id = next_id_++;
+  PeerId id = allocate_id();
   Peer& ref = table_.create(id, simulator_.now(), content::Library{},
                             protocol_.cache_size, /*malicious=*/true,
                             /*selfish=*/false);
@@ -707,9 +713,9 @@ void GuessNetwork::query_step(PeerId origin_id) {
     // under backoff.
     std::optional<QueryExecution::Candidate> candidate;
     while ((candidate = query.next_candidate())) {
-      if (origin->blacklisted(candidate->entry.id)) continue;
+      if (origin->blacklisted(candidate->id)) continue;
       if (!protocol_.do_backoff ||
-          !origin->backed_off(candidate->entry.id, simulator_.now()))
+          !origin->backed_off(candidate->id, simulator_.now()))
         break;
     }
     if (!candidate) break;
@@ -729,7 +735,7 @@ void GuessNetwork::query_step(PeerId origin_id) {
     // churn events.
     static_assert(Transport::Completion::stores_inline<QueryProbeResolved>());
     transport_->exchange(
-        MessageKind::kQueryProbe, origin_id, candidate->entry.id,
+        MessageKind::kQueryProbe, origin_id, candidate->id,
         QueryProbeResolved{this, origin_id, query.token(), *candidate});
   }
   if (query.end_issuing()) finish_slot(origin_id);
@@ -757,7 +763,7 @@ void GuessNetwork::probe_resolved(PeerId origin_id, std::uint64_t token,
   Peer* origin = find(origin_id);
   GUESS_CHECK(origin != nullptr);  // death releases the active query
   QueryExecution& query = *active;
-  PeerId target_id = candidate.entry.id;
+  PeerId target_id = candidate.id;
   PeerId referrer = candidate.source;
 
   // The transport reports silence (kTimedOut) without judging liveness; a
@@ -830,7 +836,7 @@ void GuessNetwork::probe_resolved(PeerId origin_id, std::uint64_t token,
   // entries claim 0/1 results, so false positives are rare.
   bool lied =
       results == 0 &&
-      candidate.entry.num_res >= protocol_.detection.lie_claim_threshold;
+      candidate.num_res >= protocol_.detection.lie_claim_threshold;
   if (origin->note_referral(target_id, lied, protocol_.detection)) {
     origin->cache().evict(target_id);
     trace(TraceCategory::kAttack, [&](std::ostream& os) {
@@ -1080,7 +1086,7 @@ void GuessNetwork::fault_start_attack(faults::AttackKind kind,
         zoo_.params().adversary.flood_pool_factor *
         static_cast<double>(system_.network_size));
     std::vector<PeerId> pool(std::max<std::size_t>(1, pool_size));
-    for (auto& id : pool) id = next_id_++;
+    for (auto& id : pool) id = allocate_id();
     zoo_.set_flood_pool(std::move(pool));
   }
   std::size_t cohort = std::max<std::size_t>(

@@ -227,6 +227,9 @@ class GuessNetwork : public faults::FaultHost, public TransportModulation {
   struct SybilExpired;
 
   // --- lifecycle ---
+  /// The next unused id, real peer or fabricated address alike; checks the
+  /// kPeerIdLimit bound.
+  PeerId allocate_id();
   PeerId spawn_peer(bool malicious, bool selfish, bool initial);
   /// Birth one cohort member of `kind`: malicious, friend-seeded, not
   /// churn-registered, no query workload, ping timer scaled by the

@@ -52,8 +52,8 @@ void QueryExecution::reset(PeerId origin, content::FileId file,
   first_hand_only_ = first_hand_only;
   heap_.clear();
   candidates_.clear();
+  referrers_.clear();
   seen_.clear();
-  next_seq_ = 0;
   results_ = 0;
   counters_ = ProbeCounters{};
   parallel_ = parallel;
@@ -84,12 +84,19 @@ void QueryExecution::note_slot(bool any_results, bool adaptive,
 bool QueryExecution::add_candidate(const CacheEntry& entry, PeerId source,
                                    Rng& rng) {
   if (entry.id == origin_) return false;
-  if (!seen_.insert(entry.id)) return false;
+  if (!seen_.insert(static_cast<std::uint32_t>(entry.id))) return false;
+  std::uint32_t referrer = kNoReferrer;
+  if (source != kInvalidPeer) {
+    // A Pong's entries arrive together, so one append serves them all.
+    if (referrers_.empty() || referrers_.back() != source) {
+      referrers_.push_back(source);
+    }
+    referrer = static_cast<std::uint32_t>(referrers_.size() - 1);
+  }
   auto idx = static_cast<std::uint32_t>(candidates_.size());
-  candidates_.push_back(Candidate{entry, source});
+  candidates_.push_back(Stored{entry.id, entry.num_res, referrer});
   heap_.push_back(Scored{
-      selection_score(probe_policy_, entry, rng, first_hand_only_),
-      next_seq_++, idx});
+      selection_score(probe_policy_, entry, rng, first_hand_only_), idx});
   std::push_heap(heap_.begin(), heap_.end());
   return true;
 }
@@ -97,9 +104,12 @@ bool QueryExecution::add_candidate(const CacheEntry& entry, PeerId source,
 std::optional<QueryExecution::Candidate> QueryExecution::next_candidate() {
   if (heap_.empty()) return std::nullopt;
   std::pop_heap(heap_.begin(), heap_.end());
-  std::uint32_t idx = heap_.back().idx;
+  const Stored& stored = candidates_[heap_.back().idx];
   heap_.pop_back();
-  return candidates_[idx];
+  return Candidate{stored.id,
+                   stored.referrer == kNoReferrer ? kInvalidPeer
+                                                  : referrers_[stored.referrer],
+                   stored.num_res};
 }
 
 }  // namespace guess

@@ -72,7 +72,15 @@ class QueryExecution {
   void reserve_candidates(std::size_t n) {
     if (heap_.capacity() < n) heap_.reserve(n);
     if (candidates_.capacity() < n) candidates_.reserve(n);
+    // At most one referrer per candidate (each probed peer's Pong adds one).
+    if (referrers_.capacity() < n) referrers_.reserve(n);
     seen_.reserve(n);
+  }
+
+  /// Bytes each accepted candidate occupies in the payload pool (the
+  /// footprint gate in the allocation tests).
+  static constexpr std::size_t stored_candidate_bytes() {
+    return sizeof(Stored);
   }
 
   PeerId origin() const { return origin_; }
@@ -85,12 +93,15 @@ class QueryExecution {
   sim::Time issue_time() const { return issue_; }
   void set_issue_time(sim::Time issued) { issue_ = issued; }
 
-  /// A queued candidate and the peer whose Pong referred it (kInvalidPeer
-  /// for entries taken from the origin's own link cache) — the provenance
-  /// the §6.4 detection heuristic scores.
+  /// A dequeued candidate: the peer to probe, the peer whose Pong referred
+  /// it (kInvalidPeer for entries taken from the origin's own link cache) —
+  /// the provenance the §6.4 detection heuristic scores — and the NumRes
+  /// the entry claimed (the §6.4 lie check). The probe path reads nothing
+  /// else of the entry: its QueryProbe score is fixed in add_candidate.
   struct Candidate {
-    CacheEntry entry;
+    PeerId id = kInvalidPeer;
     PeerId source = kInvalidPeer;
+    std::uint32_t num_res = 0;
   };
 
   /// Offer a candidate (link-cache entry at start, or Pong entry during the
@@ -102,8 +113,8 @@ class QueryExecution {
   }
   bool add_candidate(const CacheEntry& entry, PeerId source, Rng& rng);
 
-  /// Next peer to probe, by descending QueryProbe score. nullopt when
-  /// exhausted.
+  /// Next peer to probe, by descending QueryProbe score (FIFO among equal
+  /// scores). nullopt when exhausted.
   std::optional<Candidate> next_candidate();
 
   /// Candidates still queued (not yet probed).
@@ -190,21 +201,32 @@ class QueryExecution {
   std::uint64_t token() const { return token_; }
 
  private:
-  // The heap orders 16-byte (score, seq, idx) keys; the 40-byte Candidate
-  // payloads sit in a side pool indexed by `idx`. Queries ingest far more
-  // candidates than they probe (a satisfied query abandons most of its
-  // queue), so cheap push/sift moves dominate — and since (score, seq) is a
-  // total order (seq is unique), pop order is identical to a heap that
-  // carried the payloads inline.
+  // The heap orders 16-byte (score, idx) keys; the 16-byte payloads sit in
+  // a side pool indexed by `idx`. Queries ingest far more candidates than
+  // they probe (a satisfied query abandons most of its queue), so cheap
+  // push/sift moves dominate. `idx` counts accepted candidates from 0, so
+  // it doubles as the FIFO tie-break: (score, idx) is a total order and pop
+  // order is independent of heap layout.
   struct Scored {
     double score;
-    std::uint32_t seq;  // FIFO tie-break keeps runs deterministic
-    std::uint32_t idx;  // payload slot in candidates_
+    std::uint32_t idx;  // payload slot in candidates_; FIFO tie-break
     bool operator<(const Scored& other) const {
       if (score != other.score) return score < other.score;
-      return seq > other.seq;
+      return idx > other.idx;
     }
   };
+  static_assert(sizeof(Scored) == 16);
+
+  // What a queued candidate keeps of its entry. A Pong's entries share one
+  // source, so the referrer is an index into referrers_ (one append per
+  // probed peer) rather than a second 64-bit id.
+  static constexpr std::uint32_t kNoReferrer = 0xFFFFFFFFu;
+  struct Stored {
+    PeerId id;
+    std::uint32_t num_res;
+    std::uint32_t referrer;  // index into referrers_, or kNoReferrer
+  };
+  static_assert(sizeof(Stored) == 16);
 
   PeerId origin_;
   content::FileId file_;
@@ -216,13 +238,11 @@ class QueryExecution {
 
   // Max-heap via push_heap/pop_heap over a plain vector (what
   // priority_queue does under the hood, per the standard) so a pooled
-  // execution can clear it while keeping the storage. (score, seq) pairs
-  // are a total order — seq is unique — so pop order is independent of
-  // heap layout.
+  // execution can clear it while keeping the storage.
   std::vector<Scored> heap_;
-  std::vector<Candidate> candidates_;  // append-only per query; idx-stable
-  EpochSet seen_;
-  std::uint32_t next_seq_ = 0;
+  std::vector<Stored> candidates_;  // append-only per query; idx-stable
+  std::vector<PeerId> referrers_;   // append-only per query
+  EpochSet seen_;  // keyed by the low 32 bits of PeerId (ids < 2^32 − 1)
 
   std::uint32_t results_ = 0;
   ProbeCounters counters_;

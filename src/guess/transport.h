@@ -141,9 +141,12 @@ class Transport {
   /// Exchange completion: invoked exactly once per exchange() call — inline
   /// (SynchronousTransport) or from a scheduled event (LossyTransport). The
   /// buffer is sized for the network's largest completion thunk (a query
-  /// probe resolution carrying its Candidate); network.cc static_asserts
-  /// that binding one never allocates.
-  static constexpr std::size_t kCompletionBufferSize = 72;
+  /// probe resolution: network, origin, token and the 24-byte Candidate
+  /// view, 48 bytes); network.cc static_asserts that binding one never
+  /// allocates. Every LossyTransport in-flight record embeds one Completion,
+  /// so the buffer sets their size too: 112 bytes per PendingExchange (128
+  /// with the former 72-byte buffer).
+  static constexpr std::size_t kCompletionBufferSize = 48;
   using Completion =
       sim::InlineFunction<void(DeliveryStatus), kCompletionBufferSize>;
 

@@ -13,4 +13,8 @@ using PeerId = std::uint64_t;
 
 inline constexpr PeerId kInvalidPeer = ~PeerId{0};
 
+/// Ids stay below 2^32 − 1: a query execution's dedup set keys on their low
+/// 32 bits (EpochSet). GuessNetwork's id allocator enforces the bound.
+inline constexpr PeerId kPeerIdLimit = 0xFFFFFFFFu;
+
 }  // namespace guess

@@ -1,6 +1,8 @@
 // Heap allocations on the bootstrap path: library sampling and initial
 // cache seeding run once per peer, so any allocation per file or per pick
-// there is multiplied by the population.
+// there is multiplied by the population. Also the bytes of the structures
+// that are multiplied the same way: a link cache per peer, and a pooled
+// query execution per concurrent query.
 //
 // Built as its own test binary because it replaces global operator new /
 // delete with counting versions (the pattern of query_alloc_test.cc).
@@ -11,9 +13,11 @@
 #include <new>
 #include <vector>
 
+#include "common/epoch_set.h"
 #include "content/content_model.h"
 #include "guess/link_cache.h"
 #include "guess/network.h"
+#include "guess/query_execution.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -167,6 +171,54 @@ TEST(BootstrapAlloc, LinkCacheAllocatesAtMostSixKiB) {
   cache.set_first_hand_only(true);
   ASSERT_TRUE(cache.full());
   EXPECT_LE(allocated_bytes() - before, 6u * 1024u);
+}
+
+// Heap bytes one query execution requests while ingesting `probes` Pongs
+// of `pong_size` new peers on top of `cache_size` link-cache entries: the
+// query cache at its worst, every candidate distinct and none satisfying.
+std::uint64_t query_execution_bytes(std::size_t cache_size,
+                                    std::size_t probes,
+                                    std::size_t pong_size) {
+  std::uint64_t before = allocated_bytes();
+  QueryExecution query(/*origin=*/0, /*file=*/1, /*desired=*/50, Policy::kMR,
+                       0.0);
+  // What GuessNetwork::start_query reserves.
+  query.reserve_candidates(cache_size + pong_size * 4);
+  Rng rng(11);
+  PeerId next_id = 1;
+  for (std::size_t i = 0; i < cache_size; ++i, ++next_id) {
+    query.add_candidate(
+        CacheEntry{next_id, 0.0, 0, static_cast<std::uint32_t>(i % 3)}, rng);
+  }
+  for (std::size_t probe = 0; probe < probes; ++probe) {
+    auto probed = query.next_candidate();
+    EXPECT_TRUE(probed.has_value());
+    if (!probed) break;
+    for (std::size_t k = 0; k < pong_size; ++k, ++next_id) {
+      query.add_candidate(
+          CacheEntry{next_id, 0.0, 0, static_cast<std::uint32_t>(k % 4)},
+          probed->id, rng);
+    }
+  }
+  EXPECT_EQ(query.seen(), cache_size + probes * pong_size);
+  return allocated_bytes() - before;
+}
+
+TEST(QueryExecutionFootprint, CompactSlots) {
+  static_assert(QueryExecution::stored_candidate_bytes() == 16);
+  static_assert(EpochSet::slot_bytes() == 8);
+}
+
+TEST(QueryExecutionFootprint, PaperWorstCaseAtMostHalfTheFormerBytes) {
+  // Pooled executions keep their high-water buffers, so this worst case —
+  // CacheSize 100 plus the 1000-probe cap × PongSize 5 distinct Pong
+  // entries, the paper defaults — is what a long unsatisfied query leaves
+  // behind. With 40-byte candidates, a (score, seq, idx) heap and 16-byte
+  // dedup slots grown at load 0.5, it requested 1,373,888 bytes. 16-byte
+  // candidates with a referrer list and 8-byte slots grown at load 0.75
+  // request 646,592; the gate is half the former figure.
+  constexpr std::uint64_t kFormerBytes = 1373888;
+  EXPECT_LE(query_execution_bytes(100, 1000, 5), kFormerBytes / 2);
 }
 
 // Sanity: the counter actually counts (a direct call cannot be elided).

@@ -190,11 +190,34 @@ TEST(QueryExecutionSource, ProvenanceCarriedThroughHeap) {
   query.add_candidate(CacheEntry{3, 0.0, 99, 0}, rng);  // own link cache
   auto first = query.next_candidate();
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->entry.id, 3u);
+  EXPECT_EQ(first->id, 3u);
   EXPECT_EQ(first->source, kInvalidPeer);
   auto second = query.next_candidate();
-  EXPECT_EQ(second->entry.id, 2u);
+  EXPECT_EQ(second->id, 2u);
   EXPECT_EQ(second->source, 9u);
+}
+
+TEST(QueryExecutionSource, EachCandidateKeepsItsOwnReferrerAndClaim) {
+  // Pongs from several sources, one source revisited after another, and
+  // link-cache entries in between: every dequeued candidate reports the
+  // source it was offered with and the NumRes its entry claimed.
+  QueryExecution query(1, 7, 1, Policy::kMFS, 0.0);
+  Rng rng(1);
+  query.add_candidate(CacheEntry{2, 0.0, 50, 4}, /*source=*/20, rng);
+  query.add_candidate(CacheEntry{3, 0.0, 40, 0}, /*source=*/20, rng);
+  query.add_candidate(CacheEntry{4, 0.0, 30, 7}, rng);
+  query.add_candidate(CacheEntry{5, 0.0, 20, 1}, /*source=*/21, rng);
+  query.add_candidate(CacheEntry{6, 0.0, 10, 9}, /*source=*/20, rng);
+  const PeerId want_source[] = {20, 20, kInvalidPeer, 21, 20};
+  const std::uint32_t want_num_res[] = {4, 0, 7, 1, 9};
+  for (PeerId id = 2; id <= 6; ++id) {
+    auto next = query.next_candidate();
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(next->id, id);
+    EXPECT_EQ(next->source, want_source[id - 2]) << "peer " << id;
+    EXPECT_EQ(next->num_res, want_num_res[id - 2]) << "peer " << id;
+  }
+  EXPECT_FALSE(query.next_candidate().has_value());
 }
 
 // --- End-to-end behaviour ---------------------------------------------------

@@ -58,9 +58,9 @@ TEST(QueryExecution, ProbeOrderFollowsPolicy) {
   query.add_candidate(entry(2, 10), rng);
   query.add_candidate(entry(3, 100), rng);
   query.add_candidate(entry(4, 50), rng);
-  EXPECT_EQ(query.next_candidate()->entry.id, 3u);
-  EXPECT_EQ(query.next_candidate()->entry.id, 4u);
-  EXPECT_EQ(query.next_candidate()->entry.id, 2u);
+  EXPECT_EQ(query.next_candidate()->id, 3u);
+  EXPECT_EQ(query.next_candidate()->id, 4u);
+  EXPECT_EQ(query.next_candidate()->id, 2u);
   EXPECT_FALSE(query.next_candidate().has_value());
 }
 
@@ -70,21 +70,21 @@ TEST(QueryExecution, EqualScoresAreFifo) {
   query.add_candidate(entry(10, 5), rng);
   query.add_candidate(entry(11, 5), rng);
   query.add_candidate(entry(12, 5), rng);
-  EXPECT_EQ(query.next_candidate()->entry.id, 10u);
-  EXPECT_EQ(query.next_candidate()->entry.id, 11u);
-  EXPECT_EQ(query.next_candidate()->entry.id, 12u);
+  EXPECT_EQ(query.next_candidate()->id, 10u);
+  EXPECT_EQ(query.next_candidate()->id, 11u);
+  EXPECT_EQ(query.next_candidate()->id, 12u);
 }
 
 TEST(QueryExecution, LateCandidatesCompeteByScore) {
   QueryExecution query(1, 7, 1, Policy::kMR, 0.0);
   Rng rng(1);
   query.add_candidate(entry(2, 0, 1), rng);
-  EXPECT_EQ(query.next_candidate()->entry.id, 2u);
+  EXPECT_EQ(query.next_candidate()->id, 2u);
   // New pong-delivered candidates enter the live ordering.
   query.add_candidate(entry(3, 0, 9), rng);
   query.add_candidate(entry(4, 0, 4), rng);
-  EXPECT_EQ(query.next_candidate()->entry.id, 3u);
-  EXPECT_EQ(query.next_candidate()->entry.id, 4u);
+  EXPECT_EQ(query.next_candidate()->id, 3u);
+  EXPECT_EQ(query.next_candidate()->id, 4u);
 }
 
 TEST(QueryExecution, ProbedPeerNotReaddable) {
