@@ -18,12 +18,11 @@
 // attack). Attack runs are bitwise deterministic (the determinism suite
 // asserts heap/calendar and thread-count invariance for each kind).
 #include <cstdint>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/table.h"
@@ -118,22 +117,18 @@ struct AttackCase {
   const char* effect;  // one-line mechanism note for the table
 };
 
-void json_cell(std::ostream& out, const char* name, const Cell& cell,
-               bool trailing_comma) {
+void report_cell(bench::Report& out, const Cell& cell) {
   const RecoveryMetrics& r = cell.recovery;
-  out << "      \"" << name << "\": {\"baseline\": " << std::fixed
-      << std::setprecision(4) << r.baseline
-      << ", \"success_during\": " << cell.success_during
-      << ", \"min_during\": " << r.min_during_fault
-      << ", \"time_to_recovery\": " << std::setprecision(1)
-      << r.time_to_recovery << ", \"availability\": " << std::setprecision(4)
-      << r.availability << ",\n        \"spawned\": "
-      << cell.attack.adversaries_spawned
-      << ", \"sybil_respawns\": " << cell.attack.sybil_respawns
-      << ", \"withheld\": " << cell.attack.withheld_exchanges
-      << ", \"oversized_pongs\": " << cell.attack.oversized_pongs
-      << ", \"no_reply_charges\": " << cell.attack.no_reply_charges << "}"
-      << (trailing_comma ? "," : "") << "\n";
+  out.set("baseline", bench::fixed(r.baseline, 4));
+  out.set("success_during", bench::fixed(cell.success_during, 4));
+  out.set("min_during", bench::fixed(r.min_during_fault, 4));
+  out.set("time_to_recovery", bench::fixed(r.time_to_recovery, 1));
+  out.set("availability", bench::fixed(r.availability, 4));
+  out.set("spawned", cell.attack.adversaries_spawned);
+  out.set("sybil_respawns", cell.attack.sybil_respawns);
+  out.set("withheld", cell.attack.withheld_exchanges);
+  out.set("oversized_pongs", cell.attack.oversized_pongs);
+  out.set("no_reply_charges", cell.attack.no_reply_charges);
 }
 
 }  // namespace
@@ -252,25 +247,25 @@ int main(int argc, char** argv) {
   table.print(std::cout, "attack x detection matrix (success pooled over "
                          "seeds; epsilon = 0.05 of baseline)");
 
-  std::ofstream out(out_path);
-  GUESS_CHECK_MSG(out.good(), "cannot write " << out_path);
-  out << "{\n  \"config\": {\"network\": " << system.network_size
-      << ", \"seeds\": " << scale.seeds << ", \"frac\": " << frac
-      << ", \"attack_start\": " << t0 << ", \"attack_window\": " << window
-      << ", \"seed\": " << scale.base_seed << "},\n  \"matrix\": {\n";
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    const auto& [name, cells] = matrix[i];
-    bool beats = hardened_beats(cells[2], cells[1]);
-    out << "    \"" << name << "\": {\n";
+  bench::Report report;
+  bench::Report& config = report.object("config");
+  config.set("network", system.network_size);
+  config.set("seeds", scale.seeds);
+  config.set("frac", bench::general(frac));
+  config.set("attack_start", bench::general(t0));
+  config.set("attack_window", bench::general(window));
+  config.set("seed", scale.base_seed);
+  bench::Report& cells_out = report.object("matrix");
+  for (const auto& [name, cells] : matrix) {
+    bench::Report& row = cells_out.object(name);
     for (std::size_t j = 0; j < cells.size(); ++j) {
-      json_cell(out, kSettings[j].name, cells[j], true);
+      report_cell(row.object(kSettings[j].name), cells[j]);
     }
-    out << "      \"hardened_beats_default\": " << (beats ? "true" : "false")
-        << "\n    }" << (i + 1 < matrix.size() ? "," : "") << "\n";
+    row.set("hardened_beats_default", hardened_beats(cells[2], cells[1]));
   }
-  out << "  },\n  \"hardened_beats_default_all\": "
-      << (all_beat ? "true" : "false") << "\n}\n";
-  std::cout << "\nwrote " << out_path << "\n";
+  report.set("hardened_beats_default_all", all_beat);
+  std::cout << "\n";
+  bench::write(out_path, report);
 
   if (scale.csv) std::cout << "\nCSV:\n" << table.to_csv();
   return all_beat ? 0 : 1;

@@ -11,22 +11,20 @@
 //   * the design gate: gossip must beat flooding on bytes-on-wire per query
 //     at equal-or-better success rate (within --epsilon) in at least one
 //     column — the reason the gossip backend exists;
-//   * the regression gate (--check=<baseline.json>): success rate must not
-//     drop and bytes per query must not grow beyond --tolerance against a
-//     previously checked-in baseline, per (backend, column) cell.
+//   * the regression gate (--check=<baseline.json>): every cell and the
+//     config must equal a previously checked-in baseline exactly
+//     (bench_report.h); the runs are deterministic.
 // Cells whose backend rejects a column's fault actions (the ported silos
 // predate the FaultHost interface) are reported as unsupported, not failed.
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/table.h"
@@ -133,51 +131,37 @@ void print_tables(const Matrix& matrix) {
   }
 }
 
-void write_json(const std::string& path, const Matrix& matrix, std::size_t n,
-                double warmup, double measure, std::uint64_t seed,
-                const std::vector<std::string>& winning_columns) {
-  std::ofstream out(path);
-  GUESS_CHECK_MSG(out.good(), "cannot write " << path);
-  out << "{\n";
-  out << "  \"config\": {\"network_size\": " << n << ", \"warmup\": "
-      << std::fixed << std::setprecision(0) << warmup << ", \"measure\": "
-      << measure << ", \"seed\": " << seed << "},\n";
-  out << "  \"matrix\": {\n";
-  std::size_t backend_index = 0;
+bench::Report report_of(const Matrix& matrix, std::size_t n, double warmup,
+                        double measure, std::uint64_t seed,
+                        const std::vector<std::string>& winning_columns) {
+  bench::Report report;
+  bench::Report& config = report.object("config");
+  config.set("network_size", n);
+  config.set("warmup", bench::fixed(warmup, 0));
+  config.set("measure", bench::fixed(measure, 0));
+  config.set("seed", seed);
+  bench::Report& cells_out = report.object("matrix");
   for (const auto& [backend, cells] : matrix) {
-    out << "    \"" << backend << "\": {\n";
-    std::size_t column_index = 0;
+    bench::Report& row = cells_out.object(backend);
     for (const Column& column : columns()) {
       const Cell& cell = cells.at(column.name);
-      out << "      \"" << column.name << "\": ";
-      if (!cell.supported) {
-        out << "{\"supported\": false}";
-      } else {
-        const search::SearchResults& r = cell.results;
-        out << "{\"supported\": true, \"queries_completed\": "
-            << r.queries_completed << ", \"success_rate\": "
-            << std::setprecision(4) << r.success_rate()
-            << ", \"probes_per_query\": " << std::setprecision(2)
-            << r.probes_per_query() << ", \"probes_p50\": "
-            << r.probes_percentile(50.0) << ", \"probes_p95\": "
-            << r.probes_percentile(95.0) << ", \"bytes_per_query\": "
-            << std::setprecision(1) << r.bytes_per_query()
-            << ", \"query_bytes\": " << r.query_bytes
-            << ", \"maintenance_bytes\": " << r.maintenance_bytes
-            << ", \"deaths\": " << r.deaths << "}";
-      }
-      out << (++column_index < columns().size() ? "," : "") << "\n";
+      bench::Report& out = row.object(column.name);
+      out.set("supported", cell.supported);
+      if (!cell.supported) continue;
+      const search::SearchResults& r = cell.results;
+      out.set("queries_completed", r.queries_completed);
+      out.set("success_rate", bench::fixed(r.success_rate(), 4));
+      out.set("probes_per_query", bench::fixed(r.probes_per_query(), 2));
+      out.set("probes_p50", bench::fixed(r.probes_percentile(50.0), 2));
+      out.set("probes_p95", bench::fixed(r.probes_percentile(95.0), 2));
+      out.set("bytes_per_query", bench::fixed(r.bytes_per_query(), 1));
+      out.set("query_bytes", r.query_bytes);
+      out.set("maintenance_bytes", r.maintenance_bytes);
+      out.set("deaths", r.deaths);
     }
-    out << "    }" << (++backend_index < matrix.size() ? "," : "") << "\n";
   }
-  out << "  },\n";
-  out << "  \"gossip_beats_flood_columns\": [";
-  for (std::size_t i = 0; i < winning_columns.size(); ++i) {
-    out << "\"" << winning_columns[i] << "\""
-        << (i + 1 < winning_columns.size() ? ", " : "");
-  }
-  out << "]\n";
-  out << "}\n";
+  report.set("gossip_beats_flood_columns", bench::quoted(winning_columns));
+  return report;
 }
 
 // --- design gate -----------------------------------------------------------
@@ -197,93 +181,6 @@ std::vector<std::string> gossip_wins(const Matrix& matrix, double epsilon) {
   return wins;
 }
 
-// --- regression gate (--check=...) -----------------------------------------
-//
-// Reads the (backend, column) cells back out of a previously written
-// BENCH_backends.json. The parser only needs to understand this file's own
-// output format, so a line/keyword scan is enough (the same approach as
-// bench_query_throughput's baseline reader).
-
-struct BaselineCell {
-  double success_rate = 0.0;
-  double bytes_per_query = 0.0;
-};
-
-std::map<std::string, std::map<std::string, BaselineCell>> read_baseline(
-    const std::string& path) {
-  std::ifstream in(path);
-  GUESS_CHECK_MSG(in.good(), "cannot read baseline " << path);
-  std::map<std::string, std::map<std::string, BaselineCell>> baseline;
-  std::string line;
-  std::string backend;
-  bool in_matrix = false;
-  while (std::getline(in, line)) {
-    if (line.find("\"matrix\"") != std::string::npos) {
-      in_matrix = true;
-      continue;
-    }
-    if (!in_matrix) continue;
-    auto key_start = line.find('"');
-    if (key_start == std::string::npos) continue;
-    auto key_end = line.find('"', key_start + 1);
-    if (key_end == std::string::npos) continue;
-    std::string key = line.substr(key_start + 1, key_end - key_start - 1);
-    if (line.find("\"supported\"") == std::string::npos) {
-      backend = key;  // a backend header line: "gossip": {
-      continue;
-    }
-    auto spos = line.find("\"success_rate\": ");
-    auto bpos = line.find("\"bytes_per_query\": ");
-    if (spos == std::string::npos || bpos == std::string::npos) continue;
-    BaselineCell cell;
-    cell.success_rate = std::strtod(
-        line.c_str() + spos + std::string("\"success_rate\": ").size(),
-        nullptr);
-    cell.bytes_per_query = std::strtod(
-        line.c_str() + bpos + std::string("\"bytes_per_query\": ").size(),
-        nullptr);
-    baseline[backend][key] = cell;
-  }
-  return baseline;
-}
-
-bool check_against_baseline(
-    const std::map<std::string, std::map<std::string, BaselineCell>>& baseline,
-    const Matrix& matrix, double tolerance) {
-  bool ok = true;
-  for (const auto& [backend, cells] : baseline) {
-    auto live_backend = matrix.find(backend);
-    if (live_backend == matrix.end()) continue;
-    for (const auto& [column, base] : cells) {
-      auto live_cell = live_backend->second.find(column);
-      if (live_cell == live_backend->second.end() ||
-          !live_cell->second.supported) {
-        continue;
-      }
-      const search::SearchResults& r = live_cell->second.results;
-      std::cout << "check " << backend << "/" << column << ": success "
-                << std::fixed << std::setprecision(3) << r.success_rate()
-                << " vs " << base.success_rate << ", bytes/q "
-                << std::setprecision(1) << r.bytes_per_query() << " vs "
-                << base.bytes_per_query << "\n";
-      if (r.success_rate() < base.success_rate - tolerance) {
-        std::cout << "REGRESSION: " << backend << "/" << column
-                  << " success rate fell beyond tolerance " << tolerance
-                  << "\n";
-        ok = false;
-      }
-      if (base.bytes_per_query > 0.0 &&
-          r.bytes_per_query() > base.bytes_per_query * (1.0 + tolerance)) {
-        std::cout << "REGRESSION: " << backend << "/" << column
-                  << " bytes/query grew beyond " << tolerance * 100.0
-                  << "%\n";
-        ok = false;
-      }
-    }
-  }
-  return ok;
-}
-
 }  // namespace
 }  // namespace guess
 
@@ -297,10 +194,7 @@ int main(int argc, char** argv) {
       flags.get_double("measure", flags.full() ? 2400.0 : 900.0);
   const std::uint64_t seed = flags.seed();
   const double epsilon = flags.get_double("epsilon", 0.02);
-  const std::string out_path =
-      flags.get_string("out", "BENCH_backends.json");
-  const std::string check_path = flags.get_string("check", "");
-  const double tolerance = flags.get_double("tolerance", 0.10);
+  const bench::ReportFiles files(flags, "BENCH_backends.json");
 
   std::cout << "# Backend matrix — n=" << n << " warmup=" << warmup
             << " measure=" << measure << " seed=" << seed << "\n\n";
@@ -326,19 +220,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  write_json(out_path, matrix, n, warmup, measure, seed, wins);
-  std::cout << "wrote " << out_path << "\n";
+  bool check_ok =
+      files.finish(report_of(matrix, n, warmup, measure, seed, wins));
 
   if (wins.empty()) {
     std::cout << "DESIGN GATE FAILED: the gossip backend never beat "
                  "flooding on bytes-on-wire at equal success rate\n";
     return 1;
   }
-  if (!check_path.empty()) {
-    auto baseline = read_baseline(check_path);
-    GUESS_CHECK_MSG(!baseline.empty(),
-                    "no matrix cells found in " << check_path);
-    if (!check_against_baseline(baseline, matrix, tolerance)) return 1;
-  }
-  return 0;
+  return check_ok ? 0 : 1;
 }

@@ -20,14 +20,12 @@
 //     rate within --hold-margin of that light-load cell at no less than its
 //     goodput — in at least one environment. This is the reason the
 //     overload controller exists.
-//   * the regression gate (--check=<baseline.json>): per cell, goodput must
-//     not drop and the violation rate must not grow beyond --tolerance
-//     against a previously checked-in baseline.
+//   * the regression gate (--check=<baseline.json>): every cell, capacity
+//     and config value must equal a previously checked-in baseline exactly
+//     (bench_report.h); the runs are deterministic.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
@@ -35,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "common/check.h"
 #include "common/flags.h"
 #include "common/table.h"
@@ -192,61 +191,48 @@ void print_tables(const Matrix& matrix, double slo) {
   }
 }
 
-void write_json(const std::string& path, const Matrix& matrix,
-                const std::map<std::string, Calibration>& capacities,
-                const BenchParams& params) {
-  std::ofstream out(path);
-  GUESS_CHECK_MSG(out.good(), "cannot write " << path);
-  out << "{\n";
-  out << "  \"config\": {\"network_size\": " << params.n << ", \"warmup\": "
-      << std::fixed << std::setprecision(0) << params.warmup
-      << ", \"measure\": " << params.measure << ", \"slo\": "
-      << std::setprecision(1) << params.slo << ", \"seed\": " << params.seed
-      << "},\n";
-  out << "  \"capacity_qps\": {";
-  std::size_t env_index = 0;
+bench::Report report_of(const Matrix& matrix,
+                        const std::map<std::string, Calibration>& capacities,
+                        const BenchParams& params) {
+  bench::Report report;
+  bench::Report& config = report.object("config");
+  config.set("network_size", params.n);
+  config.set("warmup", bench::fixed(params.warmup, 0));
+  config.set("measure", bench::fixed(params.measure, 0));
+  config.set("slo", bench::fixed(params.slo, 1));
+  config.set("seed", params.seed);
+  bench::Report& capacity = report.object("capacity_qps");
   for (const Environment& env : environments()) {
-    out << "\"" << env.name << "\": " << std::setprecision(3)
-        << capacities.at(env.name).capacity_qps
-        << (++env_index < environments().size() ? ", " : "");
+    capacity.set(env.name,
+                 bench::fixed(capacities.at(env.name).capacity_qps, 3));
   }
-  out << "},\n";
-  out << "  \"matrix\": {\n";
-  env_index = 0;
+  bench::Report& cells = report.object("matrix");
   for (const Environment& env : environments()) {
-    out << "    \"" << env.name << "\": {\n";
-    std::size_t policy_index = 0;
     for (OverloadPolicy policy : policies()) {
-      out << "      \"" << overload_policy_name(policy) << "\": {\n";
-      std::size_t load_index = 0;
+      const std::string name = overload_policy_name(policy);
+      bench::Report& row = cells.object(env.name).object(name);
       for (double multiple : load_multiples()) {
-        const CellMetrics& cell = matrix.at(env.name)
-                                      .at(overload_policy_name(policy))
-                                      .at(multiple_key(multiple));
-        out << "        \"" << multiple_key(multiple) << "\": {"
-            << "\"offered_qps\": " << std::setprecision(3) << cell.offered
-            << ", \"arrivals\": " << cell.stats.arrivals
-            << ", \"admitted\": " << cell.stats.admitted
-            << ", \"rejected\": " << cell.stats.rejected
-            << ", \"shed\": " << cell.stats.shed
-            << ", \"completed\": " << cell.stats.completed
-            << ", \"abandoned\": " << cell.stats.abandoned
-            << ", \"open_at_close\": " << cell.stats.open_at_close
-            << ", \"p50\": " << std::setprecision(4) << cell.p50()
-            << ", \"p95\": " << cell.p95()
-            << ", \"p99\": " << cell.p99()
-            << ", \"p999\": " << cell.p999()
-            << ", \"goodput\": " << cell.goodput()
-            << ", \"violation_rate\": " << cell.violation_rate() << "}"
-            << (++load_index < load_multiples().size() ? "," : "") << "\n";
+        const CellMetrics& cell =
+            matrix.at(env.name).at(name).at(multiple_key(multiple));
+        bench::Report& out = row.object(multiple_key(multiple));
+        out.set("offered_qps", bench::fixed(cell.offered, 3));
+        out.set("arrivals", cell.stats.arrivals);
+        out.set("admitted", cell.stats.admitted);
+        out.set("rejected", cell.stats.rejected);
+        out.set("shed", cell.stats.shed);
+        out.set("completed", cell.stats.completed);
+        out.set("abandoned", cell.stats.abandoned);
+        out.set("open_at_close", cell.stats.open_at_close);
+        out.set("p50", bench::fixed(cell.p50(), 4));
+        out.set("p95", bench::fixed(cell.p95(), 4));
+        out.set("p99", bench::fixed(cell.p99(), 4));
+        out.set("p999", bench::fixed(cell.p999(), 4));
+        out.set("goodput", bench::fixed(cell.goodput(), 4));
+        out.set("violation_rate", bench::fixed(cell.violation_rate(), 4));
       }
-      out << "      }" << (++policy_index < policies().size() ? "," : "")
-          << "\n";
     }
-    out << "    }" << (++env_index < environments().size() ? "," : "") << "\n";
   }
-  out << "  }\n";
-  out << "}\n";
+  return report;
 }
 
 // --- design gate -----------------------------------------------------------
@@ -288,97 +274,6 @@ GateResult evaluate_gate(const Matrix& matrix, const std::string& env,
   return gate;
 }
 
-// --- regression gate (--check=...) -----------------------------------------
-//
-// Reads the cells back out of a previously written BENCH_overload.json.
-// The parser only needs to understand this file's own output format, so a
-// line/keyword scan is enough (the bench_backend_matrix approach).
-
-struct BaselineCell {
-  double goodput = 0.0;
-  double violation_rate = 0.0;
-};
-
-std::map<std::string, BaselineCell> read_baseline(const std::string& path) {
-  std::ifstream in(path);
-  GUESS_CHECK_MSG(in.good(), "cannot read baseline " << path);
-  std::map<std::string, BaselineCell> baseline;
-  std::string line;
-  std::string env;
-  std::string policy;
-  bool in_matrix = false;
-  while (std::getline(in, line)) {
-    if (line.find("\"matrix\"") != std::string::npos) {
-      in_matrix = true;
-      continue;
-    }
-    if (!in_matrix) continue;
-    auto key_start = line.find('"');
-    if (key_start == std::string::npos) continue;
-    auto key_end = line.find('"', key_start + 1);
-    if (key_end == std::string::npos) continue;
-    std::string key = line.substr(key_start + 1, key_end - key_start - 1);
-    auto gpos = line.find("\"goodput\": ");
-    if (gpos == std::string::npos) {
-      // A header line. Indentation distinguishes environment ("    \"churn\"")
-      // from policy ("      \"admit\"").
-      if (line.rfind("    \"", 0) == 0) {
-        env = key;
-      } else {
-        policy = key;
-      }
-      continue;
-    }
-    auto vpos = line.find("\"violation_rate\": ");
-    if (vpos == std::string::npos) continue;
-    BaselineCell cell;
-    cell.goodput = std::strtod(
-        line.c_str() + gpos + std::string("\"goodput\": ").size(), nullptr);
-    cell.violation_rate = std::strtod(
-        line.c_str() + vpos + std::string("\"violation_rate\": ").size(),
-        nullptr);
-    baseline[env + "/" + policy + "/" + key] = cell;
-  }
-  return baseline;
-}
-
-bool check_against_baseline(const std::map<std::string, BaselineCell>& baseline,
-                            const Matrix& matrix, double tolerance) {
-  bool ok = true;
-  for (const Environment& env : environments()) {
-    for (OverloadPolicy policy : policies()) {
-      for (double multiple : load_multiples()) {
-        std::string key = env.name + "/" +
-                          overload_policy_name(policy) + "/" +
-                          multiple_key(multiple);
-        auto it = baseline.find(key);
-        if (it == baseline.end()) continue;
-        const CellMetrics& cell = matrix.at(env.name)
-                                      .at(overload_policy_name(policy))
-                                      .at(multiple_key(multiple));
-        std::cout << "check " << key << ": goodput " << std::fixed
-                  << std::setprecision(3) << cell.goodput() << " vs "
-                  << it->second.goodput << ", viol " << cell.violation_rate()
-                  << " vs " << it->second.violation_rate << "\n";
-        if (cell.goodput() <
-            it->second.goodput * (1.0 - tolerance)) {
-          std::cout << "REGRESSION: " << key
-                    << " goodput fell beyond tolerance " << tolerance << "\n";
-          ok = false;
-        }
-        if (cell.violation_rate() >
-            it->second.violation_rate + tolerance) {
-          std::cout << "REGRESSION: " << key
-                    << " violation rate grew beyond tolerance " << tolerance
-                    << "\n";
-          ok = false;
-        }
-      }
-    }
-  }
-  return ok;
-}
-
 }  // namespace
 }  // namespace guess
 
@@ -396,9 +291,7 @@ int main(int argc, char** argv) {
   const double degrade_margin = flags.get_double("degrade-margin", 0.10);
   const double hold_margin = flags.get_double("hold-margin", 0.05);
   const double epsilon = flags.get_double("epsilon", 0.10);
-  const std::string out_path = flags.get_string("out", "BENCH_overload.json");
-  const std::string check_path = flags.get_string("check", "");
-  const double tolerance = flags.get_double("tolerance", 0.10);
+  const bench::ReportFiles files(flags, "BENCH_overload.json");
 
   std::cout << "# Overload matrix — n=" << params.n << " warmup="
             << params.warmup << " measure=" << params.measure << " slo="
@@ -432,8 +325,7 @@ int main(int argc, char** argv) {
   }
 
   print_tables(matrix, params.slo);
-  write_json(out_path, matrix, capacities, params);
-  std::cout << "wrote " << out_path << "\n";
+  bool check_ok = files.finish(report_of(matrix, capacities, params));
 
   // Design gate: somewhere, uncontrolled 2× load must hurt and a policy
   // must fix it.
@@ -462,12 +354,5 @@ int main(int argc, char** argv) {
                  "tail latency and goodput\n";
     return 1;
   }
-
-  if (!check_path.empty()) {
-    auto baseline = read_baseline(check_path);
-    GUESS_CHECK_MSG(!baseline.empty(),
-                    "no matrix cells found in " << check_path);
-    if (!check_against_baseline(baseline, matrix, tolerance)) return 1;
-  }
-  return 0;
+  return check_ok ? 0 : 1;
 }

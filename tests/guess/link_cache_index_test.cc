@@ -134,7 +134,9 @@ void churn_equivalence(std::size_t capacity) {
         auto a = caches.indexed.select_best(policy, caches.rng_indexed);
         auto b = caches.legacy.select_best(policy, caches.rng_legacy);
         ASSERT_EQ(a.has_value(), b.has_value());
-        if (a) ASSERT_TRUE(entry_eq(*a, *b)) << "select_best diverged";
+        if (a) {
+          ASSERT_TRUE(entry_eq(*a, *b)) << "select_best diverged";
+        }
       } else {
         Policy policy = kSelections[driver.index(kSelections.size())];
         // Half the selections are PongSize-5 pongs, the rest any count.
