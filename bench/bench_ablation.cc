@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
     for (bool use : {true, false}) {
       ProtocolParams p = base;
       p.use_query_cache = use;
-      SimulationOptions options = scale.options();
-      auto r = *search::run_search(SimulationConfig().system(system).protocol(p).options(options))
+      auto r = *search::run_search(scale.config().system(system).protocol(p))
           .extra_as<SimulationResults>();
       table.add_row({std::string(use ? "on" : "off"), r.probes_per_query(),
                      r.unsatisfied_rate(),
@@ -89,8 +88,7 @@ int main(int argc, char** argv) {
     for (std::size_t desired : {1u, 3u, 5u, 10u}) {
       SystemParams s = system;
       s.num_desired_results = desired;
-      SimulationOptions options = scale.options();
-      auto r = *search::run_search(SimulationConfig().system(s).protocol(base).options(options))
+      auto r = *search::run_search(scale.config().system(s).protocol(base))
           .extra_as<SimulationResults>();
       table.add_row({static_cast<std::int64_t>(desired),
                      r.probes_per_query(), r.unsatisfied_rate(),
@@ -113,11 +111,13 @@ int main(int argc, char** argv) {
         p.adaptive_ping.enabled = adaptive;
         p.adaptive_ping.window = 5;
         p.adaptive_ping.dead_low = 0.25;
-        SimulationOptions options = scale.options();
-        options.enable_queries = false;  // isolate maintenance traffic
-        options.warmup = 600.0;
-        options.measure = scale.full ? 7200.0 : 3000.0;
-        auto r = *search::run_search(SimulationConfig().system(s).protocol(p).options(options))
+        auto r = *search::run_search(
+                     scale.config()
+                         .system(s)
+                         .protocol(p)
+                         .enable_queries(false)  // isolate maintenance
+                         .warmup(600.0)
+                         .measure(scale.full ? 7200.0 : 3000.0))
             .extra_as<SimulationResults>();
         table.add_row({multiplier, std::string(adaptive ? "adaptive" : "30s"),
                        static_cast<std::int64_t>(r.pings_sent),

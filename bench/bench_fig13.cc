@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     p.cache_replacement = combo.replacement;
     // One representative seed: the ranked curve is a distribution over
     // peers, already thousands of samples.
-    auto results = *search::run_search(SimulationConfig().system(system).protocol(p).options(scale.options()))
+    auto results = *search::run_search(scale.config().system(system).protocol(p))
         .extra_as<SimulationResults>();
     auto load = analysis::summarize_load(results.peer_loads);
     summary.add_row({std::string(combo.name), load.total, load.gini,

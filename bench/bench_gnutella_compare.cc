@@ -11,7 +11,7 @@
 #include "analysis/load_analysis.h"
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "gnutella/dynamic_overlay.h"
+#include "search/flood.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -28,8 +28,11 @@ int main(int argc, char** argv) {
   TablePrinter table({"mechanism", "msgs/query", "unsat", "resp (s)",
                       "load gini"});
 
+  // Every row runs the same workload under the command line's scale,
+  // transport and fault scenario.
+  const SimulationConfig base = scale.config().system(system);
   auto add_guess_row = [&](const char* name, ProtocolParams protocol) {
-    auto results = *search::run_search(SimulationConfig().system(system).protocol(protocol).options(scale.options()))
+    auto results = *search::run_search(SimulationConfig(base).protocol(protocol))
         .extra_as<SimulationResults>();
     table.add_row({std::string(name), results.probes_per_query(),
                    results.unsatisfied_rate(), results.response_time.mean(),
@@ -48,27 +51,16 @@ int main(int argc, char** argv) {
     add_guess_row("GUESS (MFS, k=5 walks)", parallel);
   }
 
-  auto run_gnutella = [&](std::size_t ttl) {
-    gnutella::DynamicParams params;
-    params.network_size = system.network_size;
-    params.content = system.content;
-    params.query_rate = system.query_rate;
-    params.num_desired_results = system.num_desired_results;
-    params.ttl = ttl;
-    sim::Simulator simulator;
-    gnutella::DynamicOverlay overlay(params, simulator, Rng(scale.base_seed));
-    overlay.initialize();
-    simulator.run_until(scale.warmup);
-    overlay.begin_measurement();
-    simulator.run_until(scale.warmup + scale.measure);
-    return overlay.results();
-  };
   for (std::size_t ttl : {2u, 3u, 4u, 5u}) {
-    auto results = run_gnutella(ttl);
+    FloodBackendParams flood;
+    flood.ttl = ttl;
+    search::SearchResults results = search::run_search(
+        SimulationConfig(base).backend(SearchBackendId::kFlood).flood(flood));
+    const auto& loads = results.extra_as<search::FloodStats>()->peer_loads;
     table.add_row({std::string("Gnutella flood TTL=") + std::to_string(ttl),
-                   results.messages_per_query(), results.unsatisfied_rate(),
-                   results.response_time.mean(),
-                   analysis::gini_coefficient(results.peer_loads.values())});
+                   results.query_messages_per_query(),
+                   results.unsatisfied_rate(), results.response_time.mean(),
+                   analysis::gini_coefficient(loads.values())});
   }
 
   table.print(std::cout, "forwarding vs non-forwarding, live networks");

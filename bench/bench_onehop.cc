@@ -10,7 +10,7 @@
 
 #include "common/table.h"
 #include "experiments/harness.h"
-#include "onehop/one_hop_dht.h"
+#include "search/onehop.h"
 
 int main(int argc, char** argv) {
   using namespace guess;
@@ -27,32 +27,36 @@ int main(int argc, char** argv) {
   TablePrinter table({"system", "churn x", "probes per op", "1-hop %",
                       "maint msgs/peer/s", "unsat"});
 
+  // Every row runs under the command line's scale, transport and fault
+  // scenario.
+  auto config_at = [&](double multiplier) {
+    SystemParams s = system;
+    s.lifespan_multiplier = multiplier;
+    return scale.config().system(s);
+  };
+
   auto run_dht = [&](double multiplier, double delay) {
-    onehop::OneHopParams params;
-    params.network_size = system.network_size;
-    params.lifespan_multiplier = multiplier;
-    params.dissemination_delay = delay;
-    sim::Simulator simulator;
-    onehop::OneHopDht dht(params, simulator, Rng(scale.base_seed));
-    dht.initialize();
-    simulator.run_until(scale.warmup);
-    dht.begin_measurement();
-    simulator.run_until(scale.warmup + scale.measure);
-    auto results = dht.results();
+    OneHopBackendParams onehop;
+    onehop.dissemination_delay = delay;
+    search::SearchResults results = search::run_search(
+        config_at(multiplier).backend(SearchBackendId::kOneHop).onehop(onehop));
+    const auto& stats = *results.extra_as<search::OneHopStats>();
+    double one_hop =
+        results.queries_completed == 0
+            ? 0.0
+            : static_cast<double>(stats.one_hop) /
+                  static_cast<double>(results.queries_completed);
     table.add_row(
         {std::string("one-hop DHT (D=") + std::to_string(int(delay)) + "s)",
-         multiplier, results.mean_probes(),
-         100.0 * results.one_hop_fraction(),
-         results.maintenance_msgs_per_peer_per_sec(scale.measure),
+         multiplier, results.probes_per_query(), 100.0 * one_hop,
+         stats.maintenance_msgs_per_peer_per_sec(scale.measure),
          std::string("n/a (exact-match)")});
   };
 
   auto run_guess = [&](double multiplier) {
-    SystemParams s = system;
-    s.lifespan_multiplier = multiplier;
     ProtocolParams protocol;
     protocol.query_pong = Policy::kMFS;
-    auto results = *search::run_search(SimulationConfig().system(s).protocol(protocol).options(scale.options()))
+    auto results = *search::run_search(config_at(multiplier).protocol(protocol))
         .extra_as<SimulationResults>();
     // GUESS maintenance: one ping per PingInterval per peer.
     table.add_row({std::string("GUESS (QueryPong=MFS)"), multiplier,

@@ -130,33 +130,48 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-bool compare_object(const Report& baseline, const Report& live,
-                    const Floors& floors, const std::string& path,
-                    std::ostream& log) {
+struct Comparison {
   bool ok = true;
+  bool compared_exact = false;  ///< an exact leaf in the subtree was compared
+};
+
+Comparison compare_object(const Report& baseline, const Report& live,
+                          const Floors& floors, const std::string& path,
+                          std::ostream& log) {
+  Comparison result;
+  std::size_t skipped = 0;
+  std::size_t shared = 0;  // child objects compared with an exact leaf
   for (const auto& [key, base_leaf, base_object] : baseline.entries()) {
     const std::string at = path.empty() ? key : path + "." + key;
     const Report* live_object = live.find_object(key);
     const Leaf* live_leaf = live.find_leaf(key);
     if (base_object) {
       if (live_object != nullptr) {
-        ok = compare_object(*base_object, *live_object, floors, at, log) && ok;
+        Comparison child =
+            compare_object(*base_object, *live_object, floors, at, log);
+        result.ok = child.ok && result.ok;
+        if (child.compared_exact) {
+          result.compared_exact = true;
+          ++shared;
+        }
       } else if (live_leaf != nullptr) {
         log << "REGRESSION: " << at << " is a leaf, the baseline's an object\n";
-        ok = false;
+        result.ok = false;
       } else {
         log << "check: skipped " << at << " (not in this run)\n";
+        ++skipped;
       }
       continue;
     }
     if (live_leaf == nullptr) {
       log << "REGRESSION: " << at << " missing from this run\n";
-      ok = false;
+      result.ok = false;
     } else if (!live_leaf->timing) {
+      result.compared_exact = true;
       if (live_leaf->text != base_leaf.text) {
         log << "REGRESSION: " << at << " = " << live_leaf->text
             << ", baseline " << base_leaf.text << "\n";
-        ok = false;
+        result.ok = false;
       }
     } else if (auto floor = floors.find(key); floor != floors.end()) {
       double base = std::strtod(base_leaf.text.c_str(), nullptr);
@@ -167,11 +182,17 @@ bool compare_object(const Report& baseline, const Report& live,
           << fixed(floor->second, 2).text << "x)\n";
       if (now < floor->second * base) {
         log << "REGRESSION: " << at << " fell below its floor\n";
-        ok = false;
+        result.ok = false;
       }
     }
   }
-  return ok;
+  if (skipped > 0 && shared == 0) {
+    log << "REGRESSION: " << (path.empty() ? "the report" : path)
+        << " shares none of its objects with the baseline (all " << skipped
+        << " skipped), so nothing there was checked\n";
+    result.ok = false;
+  }
+  return result;
 }
 
 // True if both paths resolve to one file (or, for a file not yet written,
@@ -294,7 +315,7 @@ Report Report::parse(std::string_view json) {
 
 bool compare(const Report& baseline, const Report& live, const Floors& floors,
              std::ostream& log) {
-  return compare_object(baseline, live, floors, "", log);
+  return compare_object(baseline, live, floors, "", log).ok;
 }
 
 void write(const std::string& path, const Report& report) {

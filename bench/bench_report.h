@@ -7,7 +7,10 @@
 // rates, configuration) or *timing* (wall-clock measurements). --check
 // compares a live report against a baseline file by one rule:
 //   * a baseline object the live report lacks is skipped, and printed
-//     (n10000 when the bench runs --n=1000);
+//     (n10000 when the bench runs --n=1000), but only beside a sibling
+//     object the live report shares and in which an exact leaf was
+//     compared: when every object at one level is skipped, nothing there
+//     was checked, and the comparison fails;
 //   * inside an object both have, every baseline leaf must exist live;
 //   * an exact leaf must equal the baseline's text byte for byte;
 //   * a timing leaf is compared only where the bench names a floor for its

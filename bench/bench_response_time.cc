@@ -51,8 +51,7 @@ int main(int argc, char** argv) {
     ProtocolParams p = base;
     p.adaptive_parallel = adaptive;
     p.adaptive_parallel_trigger = 5;
-    SimulationOptions options = scale.options();
-    auto results = *search::run_search(SimulationConfig().system(system).protocol(p).options(options))
+    auto results = *search::run_search(scale.config().system(system).protocol(p))
         .extra_as<SimulationResults>();
     adaptive_table.add_row(
         {std::string(adaptive ? "adaptive k (x2 per 5 dry slots)"

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
       // peers "to probe as few peers as possible".)
       protocol.query_pong = Policy::kMFS;
       protocol.payments.enabled = payments;
-      SimulationOptions options = scale.options();
-      auto results = *search::run_search(SimulationConfig().system(system).protocol(protocol).options(options))
+      auto results = *search::run_search(
+                          scale.config().system(system).protocol(protocol))
           .extra_as<SimulationResults>();
       table.add_row(
           {selfish_pct, std::string(payments ? "on" : "off"),

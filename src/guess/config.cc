@@ -296,6 +296,36 @@ const SimulationConfig& SimulationConfig::validate() const {
   GUESS_CHECK_MSG(backends_.gossip.probe_interval > 0.0,
                   "gossip probe_interval must be > 0");
 
+  // What the selected backend needs of the shared blocks.
+  if (backend_ == SearchBackendId::kFlood) {
+    GUESS_CHECK_MSG(system_.network_size > backends_.flood.target_degree + 1,
+                    "flood needs network_size > target_degree + 1 to wire "
+                    "its overlay, got network_size "
+                        << system_.network_size << " with target_degree "
+                        << backends_.flood.target_degree);
+  }
+  if (backend_ == SearchBackendId::kGossip) {
+    GUESS_CHECK_MSG(backends_.gossip.fanout < system_.network_size,
+                    "gossip needs fanout < network_size (partners are other "
+                    "peers), got fanout "
+                        << backends_.gossip.fanout << " with network_size "
+                        << system_.network_size);
+  }
+  if ((backend_ == SearchBackendId::kFlood ||
+       backend_ == SearchBackendId::kOneHop) &&
+      transport_.kind == TransportParams::Kind::kLossy) {
+    // Loss 1 would drop every flood transmission, and a one-hop lookup
+    // would walk its whole view timing out.
+    GUESS_CHECK_MSG(transport_.loss < 1.0,
+                    backend_name(backend_)
+                        << " needs transport loss < 1, got "
+                        << transport_.loss);
+  }
+  GUESS_CHECK_MSG(options_.enable_queries ||
+                      backend_ == SearchBackendId::kGuess,
+                  "enable_queries(false) is a GUESS maintenance-only option; "
+                  "backend " << backend_name(backend_) << " has no such mode");
+
   // Fault scenario (DESIGN.md §9).
   scenario_.validate();
   GUESS_CHECK_MSG(!scenario_.uses_degradation() ||

@@ -45,9 +45,9 @@ namespace guess {
 /// in BackendParams.
 enum class SearchBackendId {
   kGuess,      ///< non-forwarding GUESS (src/guess, the paper's subject)
-  kFlood,      ///< live Gnutella-style TTL flooding (src/gnutella)
+  kFlood,      ///< live Gnutella-style TTL flooding (src/search/flood.h)
   kIterative,  ///< iterative deepening over a static population (src/baseline)
-  kOneHop,     ///< one-hop DHT lookups (src/onehop)
+  kOneHop,     ///< one-hop DHT lookups (src/search/onehop.h)
   kGossip,     ///< push/pull gossip of content ads + local knowledge (§12.4)
 };
 
@@ -57,8 +57,8 @@ const char* backend_name(SearchBackendId id);
 /// Parse a --backend= value; throws CheckError on unknown names.
 SearchBackendId parse_backend(const std::string& name);
 
-/// Tuning for the flooding backend (gnutella::DynamicParams overrides; the
-/// workload fields come from SystemParams).
+/// Tuning for the flooding backend (the workload fields come from
+/// SystemParams).
 struct FloodBackendParams {
   std::size_t target_degree = 4;  ///< connections each peer keeps open
   std::size_t max_degree = 12;    ///< hard cap (§3.3 anti-hub remedy)

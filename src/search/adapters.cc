@@ -1,13 +1,15 @@
-// The four legacy silos as SearchBackend adapters (DESIGN.md §12.2).
+// The two remaining adapters (DESIGN.md §12.2): GUESS over GuessNetwork and
+// iterative deepening over the static-population baseline. Flooding, the
+// one-hop DHT and gossip are native backends (flood.h, onehop.h, gossip.h).
 //
 // Each adapter's contract is bitwise equivalence: construction order, RNG
-// consumption, event scheduling and collection replicate the legacy
-// free-standing driver exactly, so the legacy results struct in the
-// extension slot is identical to what the silo's own entry point produces
-// (tests/search/backend_equivalence_test.cc asserts this field by field;
-// GUESS runs are pinned by tests/testdata/guess_legacy.golden).
-// The unified SearchResults mapping on top is pure arithmetic over those
-// structs — it can never perturb a run.
+// consumption, event scheduling and collection replicate the engine's own
+// driver sequence exactly, so the engine's results struct in the extension
+// slot is what the engine itself produces (GUESS runs are pinned by
+// tests/testdata/guess_legacy.golden, iterative runs by
+// tests/search/backend_equivalence_test.cc). The unified SearchResults
+// mapping on top is pure arithmetic over those structs — it can never
+// perturb a run.
 #include "search/adapters.h"
 
 #include <algorithm>
@@ -19,9 +21,7 @@
 #include "baseline/static_population.h"
 #include "common/check.h"
 #include "content/content_model.h"
-#include "gnutella/dynamic_overlay.h"
 #include "guess/network.h"
-#include "onehop/one_hop_dht.h"
 
 namespace guess::search {
 
@@ -173,93 +173,6 @@ class GuessBackend final : public SearchBackend {
   SimulationConfig config_;
   sim::Simulator& simulator_;
   std::unique_ptr<GuessNetwork> network_;
-};
-
-// --- Gnutella flooding -----------------------------------------------------
-
-class FloodBackend final : public SearchBackend {
- public:
-  FloodBackend(const SimulationConfig& config, sim::Simulator& simulator,
-               Rng rng)
-      : simulator_(simulator) {
-    const SystemParams& system = config.system();
-    const FloodBackendParams& tuning = config.backends().flood;
-    gnutella::DynamicParams params;
-    params.network_size = system.network_size;
-    params.target_degree = tuning.target_degree;
-    params.max_degree = tuning.max_degree;
-    params.ttl = tuning.ttl;
-    params.hop_delay = tuning.hop_delay;
-    params.lifespan_multiplier = system.lifespan_multiplier;
-    params.query_rate = system.query_rate;
-    params.num_desired_results = system.num_desired_results;
-    params.content = system.content;
-    if (config.transport().kind == TransportParams::Kind::kLossy) {
-      params.loss = config.transport().loss;
-    }
-    params.enable_queries = !config.open_loop();
-    overlay_ = std::make_unique<gnutella::DynamicOverlay>(params, simulator,
-                                                          std::move(rng));
-  }
-
-  const char* name() const override { return "flood"; }
-  void bootstrap() override { overlay_->initialize(); }
-  void begin_measurement() override { overlay_->begin_measurement(); }
-
-  void start_query(Rng& rng, sim::Time issued) override {
-    const std::vector<std::uint64_t>& alive = overlay_->alive_peers();
-    GUESS_CHECK(!alive.empty());
-    std::uint64_t origin = alive[rng.index(alive.size())];
-    gnutella::FloodQueryOutcome outcome = overlay_->submit_query(
-        origin, overlay_->content().draw_query(rng));
-    if (observer_ != nullptr) {
-      // The flood runs synchronously inside submit_query; the query's
-      // latency is its controller queueing delay plus the modeled hop time.
-      observer_->on_query_complete(
-          (simulator_.now() - issued) + outcome.response_time,
-          outcome.satisfied);
-    }
-  }
-
-  void configure_open_loop(QueryObserver* observer) override {
-    observer_ = observer;
-  }
-
-  void fault_mass_kill(double fraction) override {
-    overlay_->mass_kill(fraction);
-  }
-  void fault_mass_join(std::size_t count) override {
-    overlay_->mass_join(count);
-  }
-
-  SearchResults collect() override {
-    gnutella::DynamicResults legacy = overlay_->results();
-    SearchResults out;
-    out.backend = name();
-    out.network_size = overlay_->alive_count();
-    out.queries_completed = legacy.queries_completed;
-    out.queries_satisfied = legacy.queries_satisfied;
-    out.probes = legacy.peers_reached;
-    // Flooding's legacy "messages" are the forward transmissions, duplicates
-    // included (§3 amplification) — the unified query_messages.
-    out.query_messages = legacy.messages;
-    out.maintenance_messages = 2 * legacy.repairs;  // connect handshakes
-    out.query_bytes =
-        legacy.messages * (kWire.header + kWire.probe_payload);
-    out.maintenance_bytes = out.maintenance_messages * kWire.header;
-    out.deaths = legacy.deaths;
-    out.response_time = legacy.response_time;
-    out.probe_samples = legacy.query_reach;
-    out.extra = std::move(legacy);
-    return out;
-  }
-
-  std::size_t live_peers() const override { return overlay_->alive_count(); }
-
- private:
-  sim::Simulator& simulator_;
-  std::unique_ptr<gnutella::DynamicOverlay> overlay_;
-  QueryObserver* observer_ = nullptr;
 };
 
 // --- Iterative deepening (static analytic baseline) ------------------------
@@ -415,92 +328,6 @@ class IterativeBackend final : public SearchBackend {
   SampleSet extra_samples_;
 };
 
-// --- One-hop DHT -----------------------------------------------------------
-
-class OneHopBackend final : public SearchBackend {
- public:
-  OneHopBackend(const SimulationConfig& config, sim::Simulator& simulator,
-                Rng rng)
-      : simulator_(simulator) {
-    const SystemParams& system = config.system();
-    onehop::OneHopParams params;
-    params.network_size = system.network_size;
-    params.lifespan_multiplier = system.lifespan_multiplier;
-    params.lookup_rate = system.query_rate;
-    params.dissemination_delay = config.backends().onehop.dissemination_delay;
-    if (config.transport().kind == TransportParams::Kind::kLossy) {
-      params.loss = config.transport().loss;
-    }
-    params.enable_lookups = !config.open_loop();
-    network_size_ = system.network_size;
-    dht_ = std::make_unique<onehop::OneHopDht>(params, simulator,
-                                               std::move(rng));
-  }
-
-  const char* name() const override { return "onehop"; }
-  void bootstrap() override { dht_->initialize(); }
-  void begin_measurement() override { dht_->begin_measurement(); }
-
-  void start_query(Rng& rng, sim::Time issued) override {
-    // The DHT draws keys from its own generator (legacy API).
-    (void)rng;
-    bool resolved = dht_->lookup_random_key();
-    if (observer_ != nullptr) {
-      // Lookups resolve synchronously (probe latency is a probe count in
-      // this silo, not simulated time): the query's latency is its
-      // controller queueing delay.
-      observer_->on_query_complete(simulator_.now() - issued, resolved);
-    }
-  }
-
-  void configure_open_loop(QueryObserver* observer) override {
-    observer_ = observer;
-  }
-
-  void fault_mass_kill(double fraction) override {
-    dht_->mass_kill(fraction);
-  }
-  void fault_mass_join(std::size_t count) override {
-    dht_->mass_join(count);
-  }
-
-  SearchResults collect() override {
-    onehop::OneHopResults legacy = dht_->results();
-    SearchResults out;
-    out.backend = name();
-    out.network_size = network_size_;
-    // Naming normalization: a lookup is a completed query; exact-match
-    // lookups always resolve to the key's owner, so every completed lookup
-    // is satisfied (the silo has no "unsatisfied" notion).
-    out.queries_completed = legacy.lookups;
-    out.queries_satisfied = legacy.lookups;
-    out.probes =
-        static_cast<std::uint64_t>(std::llround(legacy.probes_per_lookup.sum()));
-    // Timed-out probes (departed or lossy targets) never reply.
-    out.query_messages = 2 * out.probes - legacy.timeouts;
-    // [1]'s defining overhead: every membership event reaches every peer.
-    out.maintenance_messages =
-        legacy.membership_events * static_cast<std::uint64_t>(network_size_);
-    out.query_bytes =
-        out.probes * (kWire.header + kWire.probe_payload) +
-        (out.probes - legacy.timeouts) * (kWire.header + kWire.result_entry);
-    out.maintenance_bytes =
-        out.maintenance_messages * (kWire.header + kWire.membership_entry);
-    out.deaths = legacy.deaths;
-    out.probe_samples = legacy.lookup_probes;
-    out.extra = legacy;
-    return out;
-  }
-
-  std::size_t live_peers() const override { return dht_->alive_count(); }
-
- private:
-  sim::Simulator& simulator_;
-  std::unique_ptr<onehop::OneHopDht> dht_;
-  QueryObserver* observer_ = nullptr;
-  std::size_t network_size_ = 0;
-};
-
 }  // namespace
 
 std::unique_ptr<SearchBackend> make_guess_backend(
@@ -508,20 +335,10 @@ std::unique_ptr<SearchBackend> make_guess_backend(
   return std::make_unique<GuessBackend>(config, simulator, std::move(rng));
 }
 
-std::unique_ptr<SearchBackend> make_flood_backend(
-    const SimulationConfig& config, sim::Simulator& simulator, Rng rng) {
-  return std::make_unique<FloodBackend>(config, simulator, std::move(rng));
-}
-
 std::unique_ptr<SearchBackend> make_iterative_backend(
     const SimulationConfig& config, sim::Simulator& simulator, Rng rng) {
   return std::make_unique<IterativeBackend>(config, simulator,
                                             std::move(rng));
-}
-
-std::unique_ptr<SearchBackend> make_onehop_backend(
-    const SimulationConfig& config, sim::Simulator& simulator, Rng rng) {
-  return std::make_unique<OneHopBackend>(config, simulator, std::move(rng));
 }
 
 }  // namespace guess::search

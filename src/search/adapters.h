@@ -1,8 +1,8 @@
-// Factories for the four ported protocol silos (DESIGN.md §12.2). Each
-// adapter wraps its legacy engine unchanged — construction, scheduling and
-// collection replicate the legacy free-standing driver exactly, so outputs
-// are bitwise-identical (tests/search/backend_equivalence_test.cc). The
-// gossip backend (the first interface-native protocol) lives in gossip.h.
+// Factories for the two adapted engines (DESIGN.md §12.2): GUESS wraps
+// GuessNetwork and iterative deepening wraps the static-population baseline,
+// each unchanged, so outputs are bitwise-identical to the engines' own
+// drivers. The native backends declare their factories beside their classes
+// (flood.h, onehop.h, gossip.h).
 #pragma once
 
 #include <memory>
@@ -13,11 +13,7 @@ namespace guess::search {
 
 std::unique_ptr<SearchBackend> make_guess_backend(
     const SimulationConfig& config, sim::Simulator& simulator, Rng rng);
-std::unique_ptr<SearchBackend> make_flood_backend(
-    const SimulationConfig& config, sim::Simulator& simulator, Rng rng);
 std::unique_ptr<SearchBackend> make_iterative_backend(
-    const SimulationConfig& config, sim::Simulator& simulator, Rng rng);
-std::unique_ptr<SearchBackend> make_onehop_backend(
     const SimulationConfig& config, sim::Simulator& simulator, Rng rng);
 
 }  // namespace guess::search

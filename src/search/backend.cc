@@ -10,7 +10,9 @@
 #include "experiments/parallel_runner.h"
 #include "faults/fault_engine.h"
 #include "search/adapters.h"
+#include "search/flood.h"
 #include "search/gossip.h"
+#include "search/onehop.h"
 #include "search/open_loop.h"
 
 namespace guess::search {

@@ -1,25 +1,25 @@
 // SearchBackend — one API over every search protocol (DESIGN.md §12).
 //
 // The paper's central move is comparing GUESS against forwarding search
-// under one methodology. The repo grew four protocol silos (src/guess,
-// src/gnutella, src/baseline, src/onehop), each with its own params,
-// results and driver; SearchBackend unifies them behind a single interface
-// driven by SimulationConfig, so the harness, guess_cli --backend=...,
-// examples and benches all run protocols through one code path — and the
-// churn, lossy-transport and fault-scenario machinery becomes available to
-// every backend, not just GUESS.
+// under one methodology. SearchBackend puts every protocol behind a single
+// interface driven by SimulationConfig, so the harness, guess_cli
+// --backend=..., examples and benches all run protocols through one code
+// path — and the churn, lossy-transport and fault-scenario machinery is
+// available to every backend, not just GUESS.
 //
 //   auto config = guess::SimulationConfig()
 //                     .backend(guess::SearchBackendId::kGossip)
 //                     .seed(7);
 //   guess::search::SearchResults r = guess::search::run_search(config);
 //
-// Ported protocols run as thin adapters over their legacy engines and are
-// bitwise-identical to the legacy free-standing drivers (asserted by
-// tests/search/backend_equivalence_test.cc; GUESS runs are pinned by
-// tests/testdata/guess_legacy.golden). Each engine's own results struct
-// rides along in the typed extension slot (`extra_as<T>()`): GUESS-specific
-// fields are read as `extra_as<SimulationResults>()`.
+// Flooding, the one-hop DHT and gossip are native backends (flood.h,
+// onehop.h, gossip.h); GUESS and iterative deepening are thin adapters over
+// their engines (adapters.h). Every backend is pinned bit for bit by
+// tests/search/backend_equivalence_test.cc (GUESS against
+// tests/testdata/guess_legacy.golden, flooding and one-hop against
+// backends_legacy.golden). Backend-specific fields ride along in the typed
+// extension slot (`extra_as<T>()`): GUESS's are read as
+// `extra_as<SimulationResults>()`.
 #pragma once
 
 #include <any>
@@ -54,9 +54,9 @@ struct WireModel {
 /// The wire model every in-tree mapping uses.
 inline constexpr WireModel kWire{};
 
-/// Unified results superset. Naming normalization (the silo drift this
-/// fixes; all rates are fractions in [0, 1], never percents):
-///   * queries_completed/satisfied — "lookups" in OneHopResults.
+/// Unified results superset. Naming normalization (all rates are fractions
+/// in [0, 1], never percents):
+///   * queries_completed/satisfied — a one-hop lookup is a query.
 ///   * probes — peers contacted per query, summed over completed queries:
 ///     GUESS probes.total(), flooding peers_reached, DHT probes incl.
 ///     timeouts, iterative peers probed, gossip probes.
@@ -66,10 +66,10 @@ inline constexpr WireModel kWire{};
 ///   * maintenance_messages — protocol upkeep: GUESS ping+pong legs,
 ///     flooding repair handshakes, DHT membership dissemination (events ×
 ///     N), gossip push/pull legs.
-/// Per-backend extras (the full legacy results struct) travel in the typed
-/// extension slot: `extra_as<SimulationResults>()` for GUESS,
-/// `extra_as<gnutella::DynamicResults>()`, `extra_as<onehop::OneHopResults>()`,
-/// `extra_as<baseline::DeepeningResult>()`, `extra_as<GossipStats>()`.
+/// Per-backend extras travel in the typed extension slot:
+/// `extra_as<SimulationResults>()` for GUESS, `extra_as<FloodStats>()`,
+/// `extra_as<OneHopStats>()`, `extra_as<baseline::DeepeningResult>()`,
+/// `extra_as<GossipStats>()`.
 struct SearchResults {
   std::string backend;
   std::size_t network_size = 0;
@@ -102,7 +102,7 @@ struct SearchResults {
   /// zeros (open_loop == false) for closed-loop runs.
   OverloadStats overload;
 
-  /// Typed extension slot: the backend's legacy results struct.
+  /// Typed extension slot: the backend's own extras (see above).
   std::any extra;
 
   template <typename T>
@@ -150,8 +150,8 @@ class SearchBackend : public faults::FaultHost {
 
   /// Inject one query from a uniformly random live peer for a
   /// workload-drawn target, through the normal protocol machinery. `rng`
-  /// supplies the origin/target draws where the legacy engine does not
-  /// (backends with an internal lookup generator may ignore it). `issued`
+  /// supplies the origin/target draws (the one-hop DHT draws its keys from
+  /// its own generator and ignores it). `issued`
   /// is the query's external issue time (its open-loop arrival instant —
   /// latency is billed from here, including any controller queueing delay);
   /// direct callers pass the current simulated time.

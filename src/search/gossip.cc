@@ -19,9 +19,6 @@ GossipBackend::GossipBackend(const SimulationConfig& config,
       rng_(std::move(rng)),
       content_(config.system().content),
       query_stream_(content::BurstParams{config.system().query_rate, 1, 5}) {
-  const GossipBackendParams& tuning = config_.backends().gossip;
-  GUESS_CHECK(config_.system().network_size >= 2);
-  GUESS_CHECK(tuning.fanout < config_.system().network_size);
   churn_ = std::make_unique<churn::ChurnManager>(
       simulator_,
       churn::LifetimeDistribution(config_.system().lifespan_multiplier),

@@ -122,6 +122,29 @@ TEST(BenchReport, ObjectTheLiveRunLacksIsSkipped) {
       << log.str();
 }
 
+// The report `bench_query_throughput --n=200` writes: no network size the
+// baseline has, so every end_to_end object would be skipped and the count
+// and q/s gates would check nothing. That fails, even though the workload
+// object matches.
+TEST(BenchReport, SharingNoObjectAtALevelFails) {
+  Report live;
+  Report& workload = live.object("workload");
+  workload.set("policies", quoted("probe=MR pong=MR ping=LRU/MFS replace=LR"));
+  workload.set("seed", 42);
+  Report& n200 = live.object("end_to_end").object("n200");
+  n200.set("queries_completed", 600);
+  n200.set("queries_per_sec", timing(12456.7, 1));
+  live.set("schedulers_bitwise_identical", true);
+
+  std::ostringstream log;
+  EXPECT_FALSE(compare(Report::parse(baseline_text("BENCH_queries.json")),
+                       live, {{"queries_per_sec", 0.70}}, log))
+      << log.str();
+  EXPECT_NE(log.str().find("end_to_end shares none of its objects"),
+            std::string::npos)
+      << log.str();
+}
+
 TEST(BenchReport, QueriesPerSecFloor) {
   Report baseline = Report::parse(
       R"({"end_to_end": {"n1000": {"queries_per_sec": 1000.0}}})");

@@ -3,6 +3,8 @@
 // range check, so each field needs an explicit isfinite guard).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -405,6 +407,93 @@ TEST(ConfigValidate, BackendBlockBounds) {
     GossipBackendParams gossip;
     gossip.probe_interval = 0.0;
     EXPECT_THROW(SimulationConfig().gossip(gossip).validate(), CheckError);
+  }
+}
+
+// Flooding wires target_degree links per peer: it needs at least
+// target_degree + 2 peers. Other backends accept the same small network.
+TEST(ConfigValidate, FloodNetworkMustExceedTargetDegreePlusOne) {
+  auto flood_with = [](std::size_t n, std::size_t target_degree) {
+    SystemParams system;
+    system.network_size = n;
+    FloodBackendParams flood;
+    flood.target_degree = target_degree;
+    flood.max_degree = std::max<std::size_t>(target_degree, 12);
+    return SimulationConfig()
+        .system(system)
+        .flood(flood)
+        .backend(SearchBackendId::kFlood);
+  };
+  EXPECT_THROW(flood_with(4, 4).validate(), CheckError);
+  EXPECT_THROW(flood_with(5, 4).validate(), CheckError);
+  EXPECT_NO_THROW(flood_with(6, 4).validate());
+  EXPECT_THROW(flood_with(9, 8).validate(), CheckError);
+  EXPECT_NO_THROW(flood_with(10, 8).validate());
+  for (SearchBackendId other :
+       {SearchBackendId::kGuess, SearchBackendId::kIterative,
+        SearchBackendId::kOneHop, SearchBackendId::kGossip}) {
+    EXPECT_NO_THROW(flood_with(5, 4).backend(other).validate())
+        << backend_name(other);
+  }
+}
+
+// Gossip exchanges with fanout other peers per round.
+TEST(ConfigValidate, GossipFanoutMustBeBelowNetworkSize) {
+  auto gossip_with = [](std::size_t n, std::size_t fanout) {
+    SystemParams system;
+    system.network_size = n;
+    GossipBackendParams gossip;
+    gossip.fanout = fanout;
+    return SimulationConfig()
+        .system(system)
+        .gossip(gossip)
+        .backend(SearchBackendId::kGossip);
+  };
+  EXPECT_THROW(gossip_with(2, 2).validate(), CheckError);
+  EXPECT_NO_THROW(gossip_with(3, 2).validate());
+  EXPECT_THROW(gossip_with(5, 5).validate(), CheckError);
+  EXPECT_NO_THROW(gossip_with(6, 5).validate());
+  EXPECT_NO_THROW(gossip_with(2, 2).backend(SearchBackendId::kGuess).validate());
+}
+
+// A lossy transport may drop everything for GUESS and gossip (their
+// exchanges time out), but flooding and the one-hop DHT need loss < 1.
+TEST(ConfigValidate, FloodAndOneHopRejectTotalLoss) {
+  for (SearchBackendId id :
+       {SearchBackendId::kFlood, SearchBackendId::kOneHop}) {
+    SCOPED_TRACE(backend_name(id));
+    EXPECT_THROW(SimulationConfig()
+                     .backend(id)
+                     .transport(TransportParams::lossy(1.0))
+                     .validate(),
+                 CheckError);
+    EXPECT_NO_THROW(SimulationConfig()
+                        .backend(id)
+                        .transport(TransportParams::lossy(
+                            std::nextafter(1.0, 0.0)))
+                        .validate());
+    EXPECT_NO_THROW(SimulationConfig()
+                        .backend(id)
+                        .transport(TransportParams::lossy(0.0))
+                        .validate());
+  }
+  EXPECT_NO_THROW(
+      SimulationConfig().transport(TransportParams::lossy(1.0)).validate());
+}
+
+// Only GUESS has a maintenance-only mode; every other backend would ignore
+// enable_queries(false) and run queries anyway.
+TEST(ConfigValidate, EnableQueriesFalseIsGuessOnly) {
+  EXPECT_NO_THROW(SimulationConfig().enable_queries(false).validate());
+  for (SearchBackendId id :
+       {SearchBackendId::kFlood, SearchBackendId::kIterative,
+        SearchBackendId::kOneHop, SearchBackendId::kGossip}) {
+    EXPECT_THROW(
+        SimulationConfig().backend(id).enable_queries(false).validate(),
+        CheckError)
+        << backend_name(id);
+    EXPECT_NO_THROW(SimulationConfig().backend(id).validate())
+        << backend_name(id);
   }
 }
 

@@ -3,9 +3,9 @@
 // trace-based debugging and CI regression pinning possible.
 #include <gtest/gtest.h>
 
-#include "gnutella/dynamic_overlay.h"
-#include "onehop/one_hop_dht.h"
 #include "search/backend.h"
+#include "search/flood.h"
+#include "search/onehop.h"
 #include "../testsupport/guess_run.h"
 #include "../testsupport/simulation_results_eq.h"
 
@@ -14,49 +14,52 @@ namespace {
 
 TEST(Determinism, DynamicGnutellaOverlay) {
   auto run = [](std::uint64_t seed) {
-    gnutella::DynamicParams params;
-    params.network_size = 150;
-    params.lifespan_multiplier = 0.2;
-    params.content.catalog_size = 400;
-    params.content.query_universe = 500;
-    sim::Simulator simulator;
-    gnutella::DynamicOverlay overlay(params, simulator, Rng(seed));
-    overlay.initialize();
-    simulator.run_until(200.0);
-    overlay.begin_measurement();
-    simulator.run_until(900.0);
-    return overlay.results();
+    SystemParams system;
+    system.network_size = 150;
+    system.lifespan_multiplier = 0.2;
+    system.content.catalog_size = 400;
+    system.content.query_universe = 500;
+    return search::run_search(SimulationConfig()
+                                  .system(system)
+                                  .backend(SearchBackendId::kFlood)
+                                  .seed(seed)
+                                  .warmup(200.0)
+                                  .measure(700.0));
   };
   auto a = run(11);
   auto b = run(11);
-  EXPECT_EQ(a.queries_completed, b.queries_completed);
-  EXPECT_EQ(a.queries_satisfied, b.queries_satisfied);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.deaths, b.deaths);
-  EXPECT_EQ(a.repairs, b.repairs);
+  testsupport::expect_matches_golden(testsupport::golden_record(a),
+                                     testsupport::golden_record(b));
+  EXPECT_EQ(a.extra_as<search::FloodStats>()->repairs,
+            b.extra_as<search::FloodStats>()->repairs);
   auto c = run(12);
-  EXPECT_NE(a.messages, c.messages);
+  EXPECT_NE(a.query_messages, c.query_messages);
 }
 
 TEST(Determinism, OneHopDht) {
   auto run = [](std::uint64_t seed) {
-    onehop::OneHopParams params;
-    params.network_size = 150;
-    params.lifespan_multiplier = 0.1;
-    sim::Simulator simulator;
-    onehop::OneHopDht dht(params, simulator, Rng(seed));
-    dht.initialize();
-    simulator.run_until(300.0);
-    dht.begin_measurement();
-    simulator.run_until(2000.0);
-    return dht.results();
+    SystemParams system;
+    system.network_size = 150;
+    system.lifespan_multiplier = 0.1;
+    return search::run_search(SimulationConfig()
+                                  .system(system)
+                                  .backend(SearchBackendId::kOneHop)
+                                  .seed(seed)
+                                  .warmup(300.0)
+                                  .measure(1700.0));
   };
   auto a = run(21);
   auto b = run(21);
-  EXPECT_EQ(a.lookups, b.lookups);
-  EXPECT_EQ(a.one_hop, b.one_hop);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.membership_events, b.membership_events);
+  testsupport::expect_matches_golden(testsupport::golden_record(a),
+                                     testsupport::golden_record(b));
+  const auto* sa = a.extra_as<search::OneHopStats>();
+  const auto* sb = b.extra_as<search::OneHopStats>();
+  ASSERT_NE(sa, nullptr);
+  ASSERT_NE(sb, nullptr);
+  EXPECT_EQ(sa->one_hop, sb->one_hop);
+  EXPECT_EQ(sa->corrective_hops, sb->corrective_hops);
+  EXPECT_EQ(sa->timeouts, sb->timeouts);
+  EXPECT_EQ(sa->membership_events, sb->membership_events);
 }
 
 TEST(Determinism, GuessWithEveryExtensionEnabled) {

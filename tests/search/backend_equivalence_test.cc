@@ -1,23 +1,21 @@
-// The ported-silo contract (DESIGN.md §12.2): every legacy protocol driven
-// through run_search() is bitwise-identical to its legacy free-standing
-// driver — same construction order, same RNG consumption, same event
-// schedule. Each test replicates a silo's legacy driver sequence verbatim
-// (the sequences the pre-§12 benches used) and compares the legacy results
-// struct riding in the extension slot field by field, under both event-queue
-// backends. "Bitwise" is literal: doubles compare ==.
+// The backend-equivalence contract (DESIGN.md §12.2): every protocol
+// driven through run_search() reproduces its frozen reference bit for bit,
+// under both event-queue backends. "Bitwise" is literal: doubles compare ==.
 //
-// GUESS has no separate driver; its cases compare run_search and
-// run_search_seeds against the recorded values in
-// tests/testdata/guess_legacy.golden.
+// GUESS compares run_search and run_search_seeds against
+// tests/testdata/guess_legacy.golden; flooding and the one-hop DHT against
+// tests/testdata/backends_legacy.golden, recorded from the engines they
+// replaced. Iterative deepening replicates its engine's driver sequence
+// verbatim and compares the engine's results struct in the extension slot.
 #include <gtest/gtest.h>
 
 #include "baseline/iterative_deepening.h"
 #include "common/check.h"
 #include "baseline/static_population.h"
 #include "content/content_model.h"
-#include "gnutella/dynamic_overlay.h"
-#include "onehop/one_hop_dht.h"
 #include "search/backend.h"
+#include "search/flood.h"
+#include "search/onehop.h"
 #include "sim/simulator.h"
 #include "../testsupport/results_golden.h"
 #include "../testsupport/simulation_results_eq.h"
@@ -31,10 +29,6 @@ SystemParams small_system(std::size_t n = 150) {
   system.content.catalog_size = 400;
   system.content.query_universe = 500;
   return system;
-}
-
-void expect_identical(const RunningStat& a, const RunningStat& b) {
-  testsupport::expect_identical(a, b);
 }
 
 void expect_identical(const SampleSet& a, const SampleSet& b) {
@@ -147,112 +141,123 @@ TEST_P(BackendEquivalenceTest, GuessSeedSweepMatchesLegacyRunSeeds) {
   }
 }
 
-// --- Gnutella flooding ------------------------------------------------------
+// --- Flooding and one-hop DHT ----------------------------------------------
+//
+// Both are native backends; their goldens were recorded from the engines
+// they replaced, in four variants: plain, a lossy transport, open-loop
+// arrivals under admission control (with the interval series), and a
+// kill + join fault scenario. Each record holds every SearchResults field
+// and, as extra.*, every field of the engine's own results struct —
+// reconstructed here from the unified results and the backend's payload.
 
-void expect_identical(const gnutella::DynamicResults& a,
-                      const gnutella::DynamicResults& b) {
-  EXPECT_EQ(a.queries_completed, b.queries_completed);
-  EXPECT_EQ(a.queries_satisfied, b.queries_satisfied);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.peers_reached, b.peers_reached);
-  expect_identical(a.response_time, b.response_time);
-  expect_identical(a.peer_loads, b.peer_loads);
-  EXPECT_EQ(a.deaths, b.deaths);
-  EXPECT_EQ(a.repairs, b.repairs);
-  expect_identical(a.query_reach, b.query_reach);
+const testsupport::GoldenFile& backend_goldens() {
+  static const testsupport::GoldenFile goldens =
+      testsupport::load_goldens("backends_legacy.golden");
+  return goldens;
+}
+
+const char* const kGoldenVariants[] = {"plain", "lossy", "open", "faults"};
+
+SimulationConfig golden_variant(SearchBackendId backend, std::uint64_t seed,
+                                const std::string& variant,
+                                sim::Scheduler scheduler) {
+  auto config = SimulationConfig()
+                    .system(small_system())
+                    .backend(backend)
+                    .seed(seed)
+                    .warmup(200.0)
+                    .measure(400.0)
+                    .scheduler(scheduler);
+  if (variant == "lossy") config.transport(TransportParams::lossy(0.05));
+  if (variant == "open") {
+    config.arrival(sim::ArrivalMode::kOpen)
+        .offered_qps(2.0)
+        .overload_policy(OverloadPolicy::kAdmit)
+        .metrics_interval(60.0);
+  }
+  if (variant == "faults") {
+    config.scenario(
+        faults::Scenario::parse("at 300 kill 0.3\nat 360 join 30"));
+  }
+  return config;
+}
+
+std::string golden_case(const char* backend, const std::string& variant,
+                        sim::Scheduler scheduler) {
+  return std::string(backend) + "/" + variant + "/" +
+         sim::scheduler_name(scheduler);
+}
+
+testsupport::GoldenRecord with_extra(const SearchResults& r,
+                                     testsupport::GoldenRecord extra) {
+  testsupport::GoldenRecord record = testsupport::golden_record(r);
+  for (auto& field : extra) record.push_back(std::move(field));
+  return record;
+}
+
+testsupport::GoldenRecord flood_record(const SearchResults& r) {
+  const auto* stats = r.extra_as<FloodStats>();
+  EXPECT_NE(stats, nullptr);
+  if (stats == nullptr) return {};
+  testsupport::GoldenRecorder b;
+  b.add("extra.queries_completed", r.queries_completed);
+  b.add("extra.queries_satisfied", r.queries_satisfied);
+  b.add("extra.messages", r.query_messages);
+  b.add("extra.peers_reached", r.probes);
+  b.add("extra.response_time", r.response_time);
+  b.add("extra.peer_loads", stats->peer_loads.values());
+  b.add("extra.deaths", r.deaths);
+  b.add("extra.repairs", stats->repairs);
+  b.add("extra.query_reach", r.probe_samples.values());
+  return with_extra(r, b.take());
+}
+
+testsupport::GoldenRecord onehop_record(const SearchResults& r) {
+  const auto* stats = r.extra_as<OneHopStats>();
+  EXPECT_NE(stats, nullptr);
+  if (stats == nullptr) return {};
+  // The engine kept the per-lookup probe count twice: as a running stat and
+  // as the sample set that is now SearchResults::probe_samples.
+  RunningStat probes_per_lookup;
+  for (double v : r.probe_samples.values()) probes_per_lookup.add(v);
+  testsupport::GoldenRecorder b;
+  b.add("extra.lookups", r.queries_completed);
+  b.add("extra.one_hop", stats->one_hop);
+  b.add("extra.corrective_hops", stats->corrective_hops);
+  b.add("extra.timeouts", stats->timeouts);
+  b.add("extra.probes_per_lookup", probes_per_lookup);
+  b.add("extra.lookup_probes", r.probe_samples.values());
+  b.add("extra.deaths", r.deaths);
+  b.add("extra.membership_events", stats->membership_events);
+  return with_extra(r, b.take());
 }
 
 TEST_P(BackendEquivalenceTest, FloodMatchesLegacyDriver) {
-  SystemParams system = small_system();
-
-  // The legacy driver sequence (bench_gnutella_compare's flood lane): the
-  // workload fields on DynamicParams, everything else at its defaults —
-  // which are exactly the FloodBackendParams defaults.
-  gnutella::DynamicParams params;
-  params.network_size = system.network_size;
-  params.content = system.content;
-  params.query_rate = system.query_rate;
-  params.num_desired_results = system.num_desired_results;
-  params.ttl = FloodBackendParams{}.ttl;
-  sim::Simulator simulator(GetParam());
-  gnutella::DynamicOverlay overlay(params, simulator, Rng(31));
-  overlay.initialize();
-  simulator.run_until(200.0);
-  overlay.begin_measurement();
-  simulator.run_until(600.0);
-  gnutella::DynamicResults legacy = overlay.results();
-
-  SearchResults unified = run_search(SimulationConfig()
-                                         .system(system)
-                                         .backend(SearchBackendId::kFlood)
-                                         .seed(31)
-                                         .warmup(200.0)
-                                         .measure(400.0)
-                                         .scheduler(GetParam()));
-
-  const auto* extra = unified.extra_as<gnutella::DynamicResults>();
-  ASSERT_NE(extra, nullptr);
-  expect_identical(legacy, *extra);
-
-  EXPECT_EQ(unified.backend, "flood");
-  EXPECT_EQ(unified.queries_completed, legacy.queries_completed);
-  EXPECT_EQ(unified.probes, legacy.peers_reached);
-  EXPECT_EQ(unified.query_messages, legacy.messages);
-  EXPECT_EQ(unified.maintenance_messages, 2 * legacy.repairs);
-  EXPECT_GT(unified.queries_completed, 0u);
-}
-
-// --- One-hop DHT ------------------------------------------------------------
-
-void expect_identical(const onehop::OneHopResults& a,
-                      const onehop::OneHopResults& b) {
-  EXPECT_EQ(a.lookups, b.lookups);
-  EXPECT_EQ(a.one_hop, b.one_hop);
-  EXPECT_EQ(a.corrective_hops, b.corrective_hops);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  expect_identical(a.probes_per_lookup, b.probes_per_lookup);
-  expect_identical(a.lookup_probes, b.lookup_probes);
-  EXPECT_EQ(a.deaths, b.deaths);
-  EXPECT_EQ(a.membership_events, b.membership_events);
+  for (const char* variant : kGoldenVariants) {
+    SCOPED_TRACE(variant);
+    SearchResults r = run_search(
+        golden_variant(SearchBackendId::kFlood, 31, variant, GetParam()));
+    EXPECT_EQ(r.backend, "flood");
+    EXPECT_GT(r.queries_completed, 0u);
+    testsupport::expect_matches_golden(
+        backend_goldens(), golden_case("flood", variant, GetParam()),
+        flood_record(r));
+  }
 }
 
 TEST_P(BackendEquivalenceTest, OneHopMatchesLegacyDriver) {
-  SystemParams system = small_system();
-
-  // The legacy driver sequence (bench_onehop's): the adapter maps
-  // system.query_rate onto lookup_rate, so the legacy run uses the same
-  // value explicitly.
-  onehop::OneHopParams params;
-  params.network_size = system.network_size;
-  params.lifespan_multiplier = system.lifespan_multiplier;
-  params.lookup_rate = system.query_rate;
-  params.dissemination_delay = OneHopBackendParams{}.dissemination_delay;
-  sim::Simulator simulator(GetParam());
-  onehop::OneHopDht dht(params, simulator, Rng(37));
-  dht.initialize();
-  simulator.run_until(200.0);
-  dht.begin_measurement();
-  simulator.run_until(600.0);
-  onehop::OneHopResults legacy = dht.results();
-
-  SearchResults unified = run_search(SimulationConfig()
-                                         .system(system)
-                                         .backend(SearchBackendId::kOneHop)
-                                         .seed(37)
-                                         .warmup(200.0)
-                                         .measure(400.0)
-                                         .scheduler(GetParam()));
-
-  const auto* extra = unified.extra_as<onehop::OneHopResults>();
-  ASSERT_NE(extra, nullptr);
-  expect_identical(legacy, *extra);
-
-  EXPECT_EQ(unified.backend, "onehop");
-  EXPECT_EQ(unified.queries_completed, legacy.lookups);
-  EXPECT_EQ(unified.queries_satisfied, legacy.lookups);  // exact-match DHT
-  EXPECT_EQ(unified.maintenance_messages,
-            legacy.membership_events * system.network_size);
-  EXPECT_GT(unified.queries_completed, 0u);
+  for (const char* variant : kGoldenVariants) {
+    SCOPED_TRACE(variant);
+    SearchResults r = run_search(
+        golden_variant(SearchBackendId::kOneHop, 37, variant, GetParam()));
+    EXPECT_EQ(r.backend, "onehop");
+    EXPECT_GT(r.queries_completed, 0u);
+    // Exact-match lookups always resolve.
+    EXPECT_EQ(r.queries_satisfied, r.queries_completed);
+    testsupport::expect_matches_golden(
+        backend_goldens(), golden_case("onehop", variant, GetParam()),
+        onehop_record(r));
+  }
 }
 
 // --- Iterative deepening ----------------------------------------------------

@@ -1,6 +1,6 @@
-// Frozen goldens for GUESS results: every field of a SimulationResults (or
-// an experiments::AveragedResults) flattened into named records, written as
-// exact text and compared back with literal ==.
+// Frozen goldens: every field of a SimulationResults, a search::SearchResults
+// or an experiments::AveragedResults flattened into named records, written
+// as exact text and compared back with literal ==.
 //
 // File format (tests/testdata/*.golden), one record per line:
 //
@@ -194,6 +194,29 @@ inline GoldenRecord golden_record(const SimulationResults& r) {
   b.add("interval_series", r.interval_series);
   b.add("measure_duration", r.measure_duration);
   b.add("network_size", static_cast<std::uint64_t>(r.network_size));
+  return b.take();
+}
+
+/// Every SearchResults field except the backend name (a string; callers
+/// check it) and the typed extension slot (each backend's test adds its own
+/// payload's fields).
+inline GoldenRecord golden_record(const search::SearchResults& r) {
+  GoldenRecorder b;
+  b.add("network_size", static_cast<std::uint64_t>(r.network_size));
+  b.add("measure_duration", r.measure_duration);
+  b.add("events_fired", r.events_fired);
+  b.add("queries_completed", r.queries_completed);
+  b.add("queries_satisfied", r.queries_satisfied);
+  b.add("probes", r.probes);
+  b.add("query_messages", r.query_messages);
+  b.add("maintenance_messages", r.maintenance_messages);
+  b.add("query_bytes", r.query_bytes);
+  b.add("maintenance_bytes", r.maintenance_bytes);
+  b.add("deaths", r.deaths);
+  b.add("response_time", r.response_time);
+  b.add("probe_samples", r.probe_samples.values());
+  b.add("interval_series", r.interval_series);
+  b.add("overload", r.overload);
   return b.take();
 }
 
